@@ -63,7 +63,7 @@ def _plain(obj):
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(out_dir: str, name: str, text: str, outputs: list[str]) -> str:
@@ -157,16 +157,6 @@ def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
     return ctx.norm.coupled_c(c_hat), source
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "method": est.method, "c_hat": est.c_hat, "stderr": est.stderr,
-        "systematic_bound": est.systematic_bound, "alpha": est.alpha,
-        "k": est.k, "replicas": est.replicas, "step": est.step,
-        "depth": est.depth, "side": est.side, "seed": est.seed,
-        "per_replica": est.per_replica,
-    }
-
-
 def _manifest(out_dir: str, command: str, config: str, params: dict,
               seed: int, threads: int, outputs: list[str], t0: float) -> None:
     doc = {
@@ -235,10 +225,10 @@ def run_density(config: str, out_dir: str, seed: int, threads: int,
     doc: dict = {"schema_version": SCHEMA_VERSION, "alpha": ctx.alpha}
     if method in ("pointwise", "both"):
         est_pw = average_density_pointwise(ctx.graph, ctx.mass, seed=seed, **kw)
-        doc["pointwise"] = _estimate_dict(est_pw)
+        doc["pointwise"] = est_pw.as_dict()
     if method in ("birkhoff", "both"):
         est_bk = average_density_birkhoff(ctx.graph, ctx.mass, seed=seed + 1, **kw)
-        doc["birkhoff"] = _estimate_dict(est_bk)
+        doc["birkhoff"] = est_bk.as_dict()
     if method == "both":
         delta = abs(est_pw.c_hat - est_bk.c_hat) / est_bk.c_hat
         doc["cross_check_delta"] = delta
@@ -481,7 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="substitution JSON config")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("--threads", type=int, default=0,
-                       help="worker threads, 0 = auto (default 0)")
+                       help="worker threads for density replicas; 0 or 1 runs "
+                            "serially (default 0); other commands ignore it")
         p.add_argument("--out", default=".", help="output directory (default .)")
 
     p = sp.add_parser("analyze", help="admissibility and spectral report")

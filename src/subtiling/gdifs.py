@@ -3,8 +3,9 @@
 Vertices are the letters of the primitive bottom block, edges are the
 occurrences of those letters inside the inflated prototiles, and every
 map is the contraction x -> (x + u_e) / lambda.  On top of the graph:
-a Markov path sampler, rigorous ball-measure brackets, and the two
-average-density estimators (pointwise and Birkhoff-style).
+a Markov path sampler, rigorous ball-measure brackets, and the
+average-density estimator on one multiradius bracket kernel (exposed
+under two labels, pointwise and Birkhoff).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +88,15 @@ class GdifsGraph:
     @property
     def u_max(self) -> float:
         return float(np.abs(self.edge_u).max())
+
+    @cached_property
+    def fan(self) -> list[list[tuple[int, np.ndarray]]]:
+        """Out-edges of each vertex grouped by target: [(target, edge ids), ...]."""
+        out = []
+        for ids in self.out_edges:
+            dst = self.edge_dst[ids]
+            out.append([(int(w), ids[dst == w]) for w in np.unique(dst)])
+        return out
 
 
 def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
@@ -359,62 +370,81 @@ def _classify(taus, halfs, x, r, side):
     """Certificate masks (inside, outside) for boxes against a closed ball.
 
     side "two": Euclidean ball B_r(x).  side "right": interval [x, x+r].
+    `taus` holds the box centres as columns, shape (dim, n), and `halfs`
+    the half-extents shared by all boxes, shape (dim, 1).
     """
     if side == "two":
-        diff = np.abs(taus - x)
+        diff = np.abs(taus - x[:, None])
         near = np.maximum(diff - halfs, 0.0)
         far = diff + halfs
-        near2 = np.einsum("ij,ij->i", near, near)
-        far2 = np.einsum("ij,ij->i", far, far)
+        near2 = np.einsum("ij,ij->j", near, near)
+        far2 = np.einsum("ij,ij->j", far, far)
         inside = far2 <= r * r
         outside = near2 > r * r
     else:
-        lo = taus[:, 0] - halfs[:, 0]
-        hi = taus[:, 0] + halfs[:, 0]
+        lo = taus[0] - halfs[0]
+        hi = taus[0] + halfs[0]
         inside = (lo >= x[0]) & (hi <= x[0] + r)
         outside = (hi < x[0]) | (lo > x[0] + r)
     return inside, outside
 
 
-def _split(graph, vids, taus, scale_next):
+# Pieces are kept grouped by vertex, one (dim, n) array of centres each:
+# the pieces of one vertex at one level share their half-extent and their
+# mass, so nothing is gathered per piece, and every array operation runs
+# along the long axis.
+
+def _group(graph, vids, taus):
+    """Per-vertex (dim, n) centre arrays of the pieces (vids, taus)."""
+    vids = np.asarray(vids, dtype=np.int64)
+    taus = np.asarray(taus, dtype=float).reshape(len(vids), graph.dim)
+    return [np.ascontiguousarray(taus[vids == v].T) for v in range(graph.n_vertices)]
+
+
+def _split(graph, groups, scale_next):
     """Replace every piece by its children, one level deeper."""
-    parts_v, parts_t = [], []
-    for v in range(graph.n_vertices):
-        sel = vids == v
-        if not sel.any():
-            continue
-        ids = graph.out_edges[v]
-        child_t = taus[sel][:, None, :] + scale_next * graph.edge_u[ids][None, :, :]
-        parts_t.append(child_t.reshape(-1, graph.dim))
-        parts_v.append(np.tile(graph.edge_dst[ids], int(sel.sum())))
-    return np.concatenate(parts_v), np.concatenate(parts_t)
+    parts = [[] for _ in range(graph.n_vertices)]
+    for v, taus in enumerate(groups):
+        if taus.shape[1]:
+            for w, ids in graph.fan[v]:
+                # siblings stay adjacent: searchsorted runs fastest on nearby keys
+                child = taus[:, :, None] + scale_next * graph.edge_u[ids].T[:, None, :]
+                parts[w].append(child.reshape(graph.dim, -1))
+    joined = []
+    for p in parts:
+        if not p:
+            p = [np.empty((graph.dim, 0))]
+        joined.append(p[0] if len(p) == 1 else np.concatenate(p, axis=1))
+    return joined
 
 
 def _bracket_core(graph, mass, vids, taus, x, r, side, depth, rel_tol=0.0):
     """Shared BFS over path cylinders; returns (lower, upper) mass."""
-    vids = np.asarray(vids, dtype=np.int64)
-    taus = np.asarray(taus, dtype=float).reshape(len(vids), graph.dim)
+    groups = _group(graph, vids, taus)
     lo_acc = 0.0
     rho = graph.rho_B
     for level in range(depth + 1):
-        if len(vids) == 0:
+        active = sum(t.shape[1] for t in groups)
+        if active == 0:
             return lo_acc, lo_acc
-        if len(vids) > _MAX_ACTIVE:
+        if active > _MAX_ACTIVE:
             raise BracketPrecisionError(
                 f"bracket query exceeded {_MAX_ACTIVE} active cylinders at depth {level}"
             )
         scale = graph.lam ** (-level)
-        halfs = scale * graph.sup_half[vids]
-        inside, outside = _classify(taus, halfs, x, r, side)
-        masses = mass.h[vids] * rho ** (-level)
-        lo_acc += float(masses[inside].sum())
-        keep = ~(inside | outside)
-        undecided = float(masses[keep].sum())
+        undecided = 0.0
+        for v, t in enumerate(groups):
+            inside, outside = _classify(t, scale * graph.sup_half[v][:, None], x, r, side)
+            keep = ~(inside | outside)
+            m = mass.h[v] * rho ** (-level)
+            lo_acc += m * np.count_nonzero(inside)
+            undecided += m * np.count_nonzero(keep)
+            groups[v] = np.compress(keep, t, axis=1)
         if undecided == 0.0:
             return lo_acc, lo_acc
         if undecided <= rel_tol * (lo_acc + undecided) or level == depth:
             return lo_acc, lo_acc + undecided
-        vids, taus = _split(graph, vids[keep], taus[keep], graph.lam ** (-(level + 1)))
+        groups = _split(graph, groups, graph.lam ** (-(level + 1)))
     return lo_acc, lo_acc  # unreachable
 
 
@@ -552,7 +582,11 @@ class DensityEstimate:
             "systematic_bound": float(self.systematic_bound),
             "k": self.k,
             "replicas": self.replicas,
+            "step": float(self.step),
+            "depth": self.depth,
+            "side": self.side,
             "seed": self.seed,
+            "per_replica": self.per_replica.tolist(),
         }
 
 
@@ -568,138 +602,116 @@ def _default_depth(graph: GdifsGraph) -> int:
     return 26 if graph.dim == 1 else 7
 
 
-def _replica_pointwise(graph, mass, seed, k, J, depth, side, terms):
-    sampler = MarkovSampler(graph, mass, seed)
-    path = sampler.sample_path(k + terms + 1)
-    cursor = ZoomCursor(graph, path, terms=terms)
-    lam, alpha = graph.lam, graph.alpha
-    x0 = np.zeros(graph.dim)
-    total = 0.0
-    syst = 0.0
-    n_pts = k * J + 1
-    for m in range(k):
-        delta = cursor.deltas()
-        last = J if m == k - 1 else J - 1
-        for j in range(last + 1):
-            s = lam ** (-j / J)
-            glob = m * J + j
-            w = 0.5 if glob in (0, n_pts - 1) else 1.0
-            lo, hi = _bracket_core(graph, mass, cursor.vids, delta, x0, s, side, depth)
-            norm = _norm_factor(s, alpha, side)
-            total += w * 0.5 * (lo + hi) / norm
-            syst += w * 0.5 * (hi - lo) / norm
-        if m < k - 1:
-            cursor.descend()
-    return total / (J * k), syst / (J * k)
-
-
 def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
-    """Measure brackets of nested balls around 0, one bracket per radius.
+    """Measure brackets of the balls around 0 of every radius, in one refinement.
 
-    Splits only the cylinders whose distance band contains a grid radius;
-    everything else resolves by sorting the in-thresholds once.
+    `radii` must be ascending.  A cylinder is inside the ball of radius r
+    once its far distance is <= r and outside once its near distance is
+    > r, the tests of `_classify`; distances are compared squared for
+    side "two".  A cylinder is split only while some radius falls in its
+    band [near, far).  Decided cylinders are counted by the index of the
+    smallest radius whose ball holds them, and one cumulative sum turns
+    the counts into per-radius masses.  Returns (lower, upper) arrays: the
+    mass certified inside each ball, and that plus the mass still
+    undecided at `depth`.  Per radius they equal `_bracket_core` to the
+    same depth, unless a distance ties a radius to within rounding: a
+    cylinder decided for that radius but split for another is classified
+    again through its children, which can stay undecided, so the bracket
+    can come out wider.
     """
     n_r = len(radii)
-    vids = np.asarray(vids, dtype=np.int64)
-    taus = np.asarray(taus, dtype=float).reshape(len(vids), graph.dim)
-    rin_done: list[np.ndarray] = []
-    mass_done: list[np.ndarray] = []
-    x0 = np.zeros(graph.dim)
+    thresholds = radii * radii if side == "two" else np.asarray(radii, dtype=float)
+    below = np.concatenate([[-np.inf], thresholds])  # below[i]: largest threshold under index i
+    groups = _group(graph, vids, taus)
     rho = graph.rho_B
-    mids = np.zeros(n_r)
-    halves = np.zeros(n_r)
+    lower_bins = np.zeros(n_r + 1)  # bin n_r: outside every ball
+    upper_bins = np.zeros(n_r + 1)
     for level in range(depth + 1):
-        if len(vids) == 0:
+        active = sum(t.shape[1] for t in groups)
+        if active == 0:
             break
-        if len(vids) > _MAX_ACTIVE:
+        if active > _MAX_ACTIVE:
             raise BracketPrecisionError(
                 f"multiradius query exceeded {_MAX_ACTIVE} active cylinders"
             )
-        scale = graph.lam ** (-level)
-        halfs = scale * graph.sup_half[vids]
-        if side == "two":
-            diff = np.abs(taus - x0)
-            near = np.maximum(diff - halfs, 0.0)
-            rout = np.sqrt(np.einsum("ij,ij->i", near, near))
-            far = diff + halfs
-            rin = np.sqrt(np.einsum("ij,ij->i", far, far))
-        else:
-            lo = taus[:, 0] - halfs[:, 0]
-            hi = taus[:, 0] + halfs[:, 0]
-            rout = np.where(lo >= 0, lo, np.where(hi < 0, np.inf, 0.0))
-            rin = np.where(lo >= 0, hi, np.inf)
-            rin[hi < 0] = np.inf
-        masses = mass.h[vids] * rho ** (-level)
-        # in for radius r iff r >= rin; out iff r < rout
-        lo_idx = np.searchsorted(radii, rout, side="left")
-        hi_idx = np.searchsorted(radii, rin, side="left")
-        banded = lo_idx == hi_idx
-        if banded.any():
-            rin_done.append(rin[banded])
-            mass_done.append(masses[banded])
-        keep = ~banded
-        if not keep.any():
-            break
+        for v, t in enumerate(groups):
+            if t.shape[1] == 0:
+                continue
+            half = graph.lam ** (-level) * graph.sup_half[v][:, None]
+            if side == "two":
+                near = np.abs(t)
+                far = near + half
+                near -= half
+                np.maximum(near, 0.0, out=near)
+                key_out = np.einsum("ij,ij->j", near, near)
+                key_in = np.einsum("ij,ij->j", far, far)
+            else:
+                lo = t[0] - half[0]
+                hi = t[0] + half[0]
+                key_out = np.where(hi < 0, np.inf, lo)
+                key_in = np.where(lo >= 0, hi, np.inf)
+            # inside for radius i iff thresholds[i] >= key_in; outside iff < key_out
+            m = mass.h[v] * rho ** (-level)
+            in_idx = np.searchsorted(thresholds, key_in)
+            banded = below[in_idx] < key_out
+            decided = m * np.bincount(in_idx[banded], minlength=n_r + 1)
+            lower_bins += decided
+            upper_bins += decided
+            rest = ~banded
+            if level == depth:
+                out_idx = np.searchsorted(thresholds, key_out[rest])
+                lower_bins += m * np.bincount(in_idx[rest], minlength=n_r + 1)
+                upper_bins += m * np.bincount(out_idx, minlength=n_r + 1)
+            else:
+                groups[v] = np.compress(rest, t, axis=1)
         if level == depth:
-            r_in_u = rin[keep]
-            r_out_u = rout[keep]
-            m_u = masses[keep]
-            for i, r in enumerate(radii):
-                is_in = r >= r_in_u
-                is_mid = (~is_in) & (r >= r_out_u)
-                mid_mass = float(m_u[is_mid].sum())
-                mids[i] += float(m_u[is_in].sum()) + 0.5 * mid_mass
-                halves[i] += 0.5 * mid_mass
             break
-        vids, taus = _split(graph, vids[keep], taus[keep], graph.lam ** (-(level + 1)))
-    if rin_done:
-        rin_all = np.concatenate(rin_done)
-        m_all = np.concatenate(mass_done)
-        order = np.argsort(rin_all)
-        rin_all = rin_all[order]
-        cum = np.concatenate([[0.0], np.cumsum(m_all[order])])
-        mids += cum[np.searchsorted(rin_all, radii, side="right")]
-    return mids, halves
+        groups = _split(graph, groups, graph.lam ** (-(level + 1)))
+    return np.cumsum(lower_bins)[:n_r], np.cumsum(upper_bins)[:n_r]
 
 
-def _replica_birkhoff(graph, mass, seed, k, J, depth, side, terms):
+def _replica(graph, mass, seed, k, J, depth, side, terms):
+    """Trapezoid log-average of the renormalized ball mass along one sampled path.
+
+    Each unit of log-scale t in [m, m + 1] brackets its J + 1 grid radii
+    lam^(-j/J) around the cursor's point at once; the end points of a unit
+    take weight 1/2, so an interior integer t is shared by two units.
+    Returns (value, systematic bound): the midpoint average and the
+    average bracket half-width.
+    """
     sampler = MarkovSampler(graph, mass, seed)
     path = sampler.sample_path(k + terms + 1)
     cursor = ZoomCursor(graph, path, terms=terms)
     lam, alpha = graph.lam, graph.alpha
-    radii = lam ** (-np.arange(J + 1, dtype=float) / J)  # descending 1 .. 1/lam
-    order = np.argsort(radii)
-    radii_sorted = radii[order]
+    radii = lam ** (-np.arange(J, -1, -1, dtype=float) / J)  # ascending 1/lam .. 1
     norms = np.array([_norm_factor(s, alpha, side) for s in radii])
-    n_pts = k * J + 1
+    weights = np.ones(J + 1)
+    weights[[0, J]] = 0.5
     total = 0.0
     syst = 0.0
     for m in range(k):
-        delta = cursor.deltas()
-        mids_s, halves_s = _measures_multiradius(
-            graph, mass, cursor.vids, delta, radii_sorted, side, depth
+        lower, upper = _measures_multiradius(
+            graph, mass, cursor.vids, cursor.deltas(), radii, side, depth
         )
-        mids = np.empty(J + 1)
-        halves = np.empty(J + 1)
-        mids[order] = mids_s
-        halves[order] = halves_s
-        for j in range(J + 1):
-            glob = m * J + j
-            w = 1.0
-            if glob in (0, n_pts - 1):
-                w = 0.5
-            elif j in (0, J):
-                w = 0.5  # interior integer t: half from this level, half from the neighbor
-            total += w * mids[j] / norms[j]
-            syst += w * halves[j] / norms[j]
+        mids = weights * (0.5 * (lower + upper)) / norms
+        halves = weights * (0.5 * (upper - lower)) / norms
+        for j in range(J, -1, -1):  # in order of increasing t
+            total += mids[j]
+            syst += halves[j]
         if m < k - 1:
             cursor.descend()
     return total / (J * k), syst / (J * k)
 
 
-def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threads, worker, name):
+def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threads, name):
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     if side is None:
         side = _default_side(graph)
+    if side not in ("two", "right"):
+        raise ValueError("side must be 'two' or 'right'")
     if side == "right" and graph.dim != 1:
         raise ValueError("one-sided densities need a one-dimensional graph")
     if depth is None:
@@ -711,9 +723,9 @@ def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threa
     args = [(graph, mass, streams[r], k, J, depth, side, terms) for r in range(replicas)]
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: worker(*a), args))
+            results = list(pool.map(lambda a: _replica(*a), args))
     else:
-        results = [worker(*a) for a in args]
+        results = [_replica(*a) for a in args]
     vals = np.array([v for v, _ in results])
     systs = np.array([s for _, s in results])
     c_hat = float(vals.mean())
@@ -746,15 +758,21 @@ def average_density_pointwise(
     terms: int = 60,
     threads: int = 0,
 ) -> DensityEstimate:
-    """Log-averaged density via fresh ball-measure brackets at each grid scale.
+    """Log-averaged average density c, labelled "pointwise".
 
-    Integrates the renormalized ball-mass ratio over t in [0, k] by the
-    trapezoid rule with spacing `step`, averaging over `replicas`
-    independently sampled typical points.
+    Integrates the renormalized ball mass mu(B(x, lam^-t)) / (2 lam^-t)^alpha
+    (one-sided: mu([x, x + lam^-t]) / lam^(-t alpha)) over t in [0, k] by
+    the trapezoid rule with spacing `step`, at `replicas` independently
+    sampled typical points x.  The ball masses come from the shared
+    multiradius kernel, which brackets all grid radii of one unit of t in
+    a single cylinder refinement `depth` levels deep; `systematic_bound`
+    is the mean bracket half-width.  The same computation as
+    `average_density_birkhoff`: the two differ only in the seed a caller
+    passes and in the `method` label, so two seeds give two independent
+    estimates to cross-check.
     """
     return _run_density(
-        graph, mass, seed, k, replicas, step, depth, side, terms, threads,
-        _replica_pointwise, "pointwise",
+        graph, mass, seed, k, replicas, step, depth, side, terms, threads, "pointwise"
     )
 
 
@@ -770,13 +788,11 @@ def average_density_birkhoff(
     terms: int = 60,
     threads: int = 0,
 ) -> DensityEstimate:
-    """Log-averaged density via one shared cylinder refinement per scale unit.
+    """Log-averaged average density c, labelled "birkhoff".
 
-    Each unit interval of the log-time axis refines the neighborhood
-    cylinders once and classifies all grid radii against the refined
-    list, so the cost per level is shared across the grid.
+    The same estimator as `average_density_pointwise`, on the same
+    multiradius kernel; only the `method` label differs.
     """
     return _run_density(
-        graph, mass, seed, k, replicas, step, depth, side, terms, threads,
-        _replica_birkhoff, "birkhoff",
+        graph, mass, seed, k, replicas, step, depth, side, terms, threads, "birkhoff"
     )

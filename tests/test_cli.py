@@ -61,6 +61,22 @@ def test_density_repeatable_bytes(tmp_path):
     assert doc["cross_check_delta"] >= 0.0
 
 
+@pytest.mark.parametrize("bad", [("--k", 0), ("--replicas", 0), ("--replicas", -1)])
+def test_density_rejects_bad_counts(tmp_path, capsys, bad):
+    code = run("density", "--config", fixture_path("cantor"), "--k", 4,
+               "--replicas", 2, *bad, "--out", tmp_path)
+    assert code == 2
+    assert not (tmp_path / "density.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_json_text_rejects_nan():
+    from subtiling.cli import _json_text
+    with pytest.raises(ValueError):
+        _json_text({"c_hat": float("nan")})
+
+
 def test_density_rejects_matrix_config(tmp_path):
     code = run("density", "--config", fixture_path("fractal73_matrix"),
                "--out", tmp_path, "--k", 4, "--replicas", 2)

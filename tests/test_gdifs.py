@@ -1,17 +1,32 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from subtiling import (MassVector, MarkovSampler, PathPrefix,
-                       alpha_exponent, average_density_birkhoff,
-                       average_density_pointwise, ball_measure_bracket,
-                       build_graph, cylinder_measure, mass_vector,
-                       natural_projection)
-from subtiling.gdifs import dimension
+from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
+                       PathPrefix, ZoomCursor, alpha_exponent,
+                       average_density_birkhoff, average_density_pointwise,
+                       ball_measure_bracket, build_graph, cylinder_measure,
+                       load_substitution, mass_vector, natural_projection)
+from subtiling import gdifs
+from subtiling.gdifs import (_bracket_core, _measures_multiradius, _norm_factor,
+                             dimension)
 
-from conftest import rng
+from conftest import Workset, rng
+
+# Two contracting letters with different masses and out-degrees; letter 1
+# has children of both letters.  Every shipped fixture has one vertex.
+TWO_VERTEX = {"alphabet": ["0", "1", "2"], "dim": 1,
+              "rules": {"0": "00000", "1": "10202", "2": "10001"}}
+
+
+@pytest.fixture(scope="module")
+def two_vertex_ws(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "two_vertex.json"
+    path.write_text(json.dumps(TWO_VERTEX))
+    return Workset(load_substitution(str(path)))
 
 
 # ---- graph construction ----
@@ -228,3 +243,106 @@ def test_density_threads_match_serial(cantor_ws):
     threaded = average_density_birkhoff(cantor_ws.graph, cantor_ws.mass,
                                         threads=4, **kw)
     assert np.array_equal(serial.per_replica, threaded.per_replica)
+
+
+def test_density_labels_share_one_estimator(carpet_ws):
+    kw = dict(seed=12, k=2, replicas=2)
+    pw = average_density_pointwise(carpet_ws.graph, carpet_ws.mass, **kw)
+    bk = average_density_birkhoff(carpet_ws.graph, carpet_ws.mass, **kw)
+    assert np.array_equal(pw.per_replica, bk.per_replica)
+    assert (pw.method, bk.method) == ("pointwise", "birkhoff")
+
+
+@pytest.mark.parametrize("bad", [dict(k=0), dict(replicas=0), dict(replicas=-1),
+                                 dict(side="left")])
+def test_density_rejects_bad_input(cantor_ws, bad):
+    kw = dict(seed=1, k=2, replicas=2) | bad
+    with pytest.raises(ValueError):
+        average_density_pointwise(cantor_ws.graph, cantor_ws.mass, **kw)
+
+
+# ---- the multiradius kernel against per-radius oracles ----
+
+def _cursor_states(ws, k, seed, terms=60):
+    """(vids, offsets) of the zoom cursor at levels 0 .. k-1 of one path."""
+    path = MarkovSampler(ws.graph, ws.mass, seed).sample_path(k + terms + 1)
+    cursor = ZoomCursor(ws.graph, path, terms=terms)
+    for m in range(k):
+        yield cursor.vids, cursor.deltas()
+        if m < k - 1:
+            cursor.descend()
+
+
+@pytest.mark.parametrize("name, side, depth", [
+    ("cantor", "right", 26), ("cantor", "two", 26), ("carpet", "two", 5),
+    ("two_vertex", "right", 20), ("two_vertex", "two", 20)])
+def test_multiradius_matches_per_radius_brackets(name, side, depth, request):
+    ws = request.getfixturevalue(name + "_ws")
+    g, J = ws.graph, 32
+    radii = g.lam ** (-np.arange(J, -1, -1, dtype=float) / J)
+    x0 = np.zeros(g.dim)
+    for vids, delta in _cursor_states(ws, k=3, seed=21):
+        lower, upper = _measures_multiradius(g, ws.mass, vids, delta, radii, side, depth)
+        for i, r in enumerate(radii):
+            lo, hi = _bracket_core(g, ws.mass, vids, delta, x0, r, side, depth)
+            assert lower[i] == pytest.approx(lo, rel=1e-12, abs=0.0)
+            assert upper[i] == pytest.approx(hi, rel=1e-12, abs=0.0)
+    # Unit boxes whose near or far distance is exactly the radius 1: the
+    # kernel may classify their children again, so its bracket contains
+    # the per-radius one instead of equalling it.
+    assert (g.sup_half == 0.5).all()
+    ties = np.zeros((3, g.dim))
+    ties[:, 0] = (0.5, 1.5, -1.5)
+    vids = np.zeros(3, dtype=np.int64)
+    lower, upper = _measures_multiradius(g, ws.mass, vids, ties, radii, side, depth)
+    lo, hi = _bracket_core(g, ws.mass, vids, ties, x0, 1.0, side, depth)
+    assert lower[-1] <= lo * (1 + 1e-12) and hi <= upper[-1] * (1 + 1e-12)
+    assert lower[-1] > 0 and hi > lo
+
+
+def _per_radius_trapezoid(graph, mass, seed, k, J, depth, side, terms):
+    """Reference replica: a fresh single-radius bracket at every grid scale."""
+    path = MarkovSampler(graph, mass, seed).sample_path(k + terms + 1)
+    cursor = ZoomCursor(graph, path, terms=terms)
+    lam, alpha = graph.lam, graph.alpha
+    x0 = np.zeros(graph.dim)
+    total = 0.0
+    syst = 0.0
+    n_pts = k * J + 1
+    for m in range(k):
+        delta = cursor.deltas()
+        last = J if m == k - 1 else J - 1
+        for j in range(last + 1):
+            s = lam ** (-j / J)
+            glob = m * J + j
+            w = 0.5 if glob in (0, n_pts - 1) else 1.0
+            lo, hi = _bracket_core(graph, mass, cursor.vids, delta, x0, s, side, depth)
+            norm = _norm_factor(s, alpha, side)
+            total += w * 0.5 * (lo + hi) / norm
+            syst += w * 0.5 * (hi - lo) / norm
+        if m < k - 1:
+            cursor.descend()
+    return total / (J * k), syst / (J * k)
+
+
+# two_vertex has lam = 5: at the 1-d default depth 26 its cylinders are
+# narrower than the float spacing of their offsets, so it runs at 18.
+@pytest.mark.parametrize("name, k, depth", [
+    ("cantor", 6, None), ("carpet", 2, None), ("two_vertex", 5, 18)])
+def test_pointwise_matches_per_radius_trapezoid(name, k, depth, request):
+    ws = request.getfixturevalue(name + "_ws")
+    seed, replicas = 31, 3
+    est = average_density_pointwise(ws.graph, ws.mass, seed=seed, k=k,
+                                    replicas=replicas, depth=depth)
+    J = round(1.0 / est.step)
+    streams = np.random.SeedSequence(seed).spawn(replicas)
+    for value, stream in zip(est.per_replica, streams):
+        ref, bound = _per_radius_trapezoid(ws.graph, ws.mass, stream, k, J,
+                                           est.depth, est.side, 60)
+        assert abs(value - ref) <= bound
+
+
+def test_multiradius_active_set_guard(carpet_ws, monkeypatch):
+    monkeypatch.setattr(gdifs, "_MAX_ACTIVE", 500)
+    with pytest.raises(BracketPrecisionError, match="500 active cylinders"):
+        average_density_pointwise(carpet_ws.graph, carpet_ws.mass, seed=1, k=2, replicas=1)
