@@ -6,8 +6,9 @@ data products into --out, and records a manifest naming the command,
 parameters, seed and output files.  `rerun --manifest` replays a
 recorded run and reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 2 invalid or inadmissible input, 3 bracket
-precision unattainable, 4 coverage shortfall.  Data goes to files and
+Exit codes: 0 success, 2 invalid or inadmissible input (including a
+word or patch that would exceed the length cap), 3 bracket precision
+unattainable, 4 coverage shortfall.  Data goes to files and
 standard output; diagnostics go to standard error.
 """
 
@@ -31,7 +32,8 @@ from .ergodic import (Observable, TransversalSampler, log_frequency,
 from .gdifs import (BracketPrecisionError, average_density_birkhoff,
                     average_density_pointwise, build_graph, mass_vector)
 from .spectral import admissibility_report, load_matrix_config, matrix_report
-from .substitution import ConfigError, Substitution, TwoSidedWord, load_substitution
+from .substitution import (ConfigError, LengthCapError, Substitution, TwoSidedWord,
+                           load_substitution)
 from .tiling import (CoverageError, suspension_lengths, window_from_sequence)
 
 SCHEMA_VERSION = 1
@@ -244,6 +246,8 @@ def run_density(config: str, out_dir: str, seed: int, threads: int,
 
 def _mean_series(build_one, replicas: int):
     """Replica-average a series op; grids are identical by construction."""
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     first = build_one()
     acc = first.partials.copy()
     for _ in range(replicas - 1):
@@ -547,7 +551,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         params = {k: getattr(args, k) for k in _PARAM_KEYS[args.command]}
         return _RUNNERS[args.command](args.config, args.out, args.seed,
                                       args.threads, params)
-    except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError,
+            LengthCapError) as e:
         _diag(f"error: {e}")
         return EXIT_INPUT
     except BracketPrecisionError as e:

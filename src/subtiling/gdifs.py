@@ -599,7 +599,16 @@ def _default_side(graph: GdifsGraph) -> str:
 
 
 def _default_depth(graph: GdifsGraph) -> int:
-    return 26 if graph.dim == 1 else 7
+    """Refinement depth: 7 in the plane; in 1-d at most 26, with lam^-depth >= 2^-44.
+
+    A 1-d cylinder at depth d is lam^-d wide around an offset of order 1.
+    Keeping that width above 2^-44 leaves 9 of float64's 53 bits between
+    it and the rounding of the offset, which would otherwise decide the
+    cylinders at a ball's edge and close the bracket to zero width.
+    """
+    if graph.dim != 1:
+        return 7
+    return min(26, math.floor(44 / math.log2(graph.lam)))
 
 
 def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):

@@ -410,35 +410,69 @@ def _scaled_row_col_dist2(patch: GridPatch) -> tuple[np.ndarray, np.ndarray]:
     return ay * ay, ax * ax
 
 
+def _ball_letter_counts(patch: GridPatch, radii: np.ndarray,
+                        letters: Sequence[int]) -> np.ndarray:
+    """N_a(R): cells of letter a whose closed square lies in B_R, per (a, R).
+
+    The scaled corner distance of cell (i, j) is ay2[i] + ax2[j], a sum
+    of exact integers, so it is <= (2R)^2 (1 + 1e-12) exactly when it is
+    <= that threshold's floor T.  Within row i the cells inside B_R are
+    then the columns with ax2[j] <= T - ay2[i]: the k-th column pair out
+    from x = 0 (k = 1, 2, ...) has ax2 = (2k)^2, so one searchsorted over
+    those squares gives the number K of column pairs inside, and the
+    columns [c0 - K, c0 + K) around the first column c0 right of x = 0.
+    Per-row int32 prefix counts of each letter turn that run into a
+    count.  Rows are scanned in chunks of about 1M cells inside the
+    bounding box of the largest ball, so memory stays bounded by one
+    chunk.
+    """
+    counts = np.zeros((len(letters), radii.size), dtype=np.int64)
+    thr = np.floor((2.0 * radii) ** 2 * (1.0 + 1e-12)).astype(np.int64)
+    ay2, ax2 = _scaled_row_col_dist2(patch)
+    # the nearest cell of a row or column adds at least 2^2 for the other axis
+    rows = np.flatnonzero(ay2 + 4 <= thr.max())
+    cols = np.flatnonzero(ax2 + 4 <= thr.max())
+    if rows.size == 0 or cols.size == 0:
+        return counts
+    j0, j1 = int(cols[0]), int(cols[-1]) + 1
+    width = j1 - j0
+    c0 = -patch.x_lo - j0
+    k = np.arange(1, max(c0, width - c0) + 1, dtype=np.int64)
+    pair_d2 = 4 * k * k
+    chunk = max(1, (1 << 20) // width)
+    for i0 in range(int(rows[0]), int(rows[-1]) + 1, chunk):
+        i1 = min(i0 + chunk, int(rows[-1]) + 1)
+        lab = patch.labels[i0:i1, j0:j1]
+        pairs = np.searchsorted(pair_d2, thr[None, :] - ay2[i0:i1, None], side="right")
+        lo = np.maximum(c0 - pairs, 0)
+        hi = np.minimum(c0 + pairs, width)
+        pref = np.zeros((i1 - i0, width + 1), dtype=np.int32)
+        for n, a in enumerate(letters):
+            np.cumsum(lab == int(a), axis=1, dtype=np.int32, out=pref[:, 1:])
+            inside = np.take_along_axis(pref, hi, 1) - np.take_along_axis(pref, lo, 1)
+            counts[n] += inside.sum(axis=0, dtype=np.int64)
+    return counts
+
+
 def count_B_tiles_ball_2d(patch: GridPatch, R: float,
                           b_letters: Iterable[int]) -> int:
     """Number of B cells whose closed unit square lies in the closed ball B_R."""
     if R < 0:
         raise ValueError("R must be nonnegative")
     _coverage_gate(patch, R)
-    ay2, ax2 = _scaled_row_col_dist2(patch)
-    b_arr = np.asarray(sorted(set(int(b) for b in b_letters)), dtype=np.int64)
-    if b_arr.size == 0:
+    b = sorted({int(x) for x in b_letters})
+    if not b:
         raise ValueError("b_letters must be nonempty")
-    thr = (2.0 * R) ** 2 * (1.0 + 1e-12)
-    total = 0
-    chunk = max(1, (1 << 22) // max(1, patch.width))
-    for i0 in range(0, patch.height, chunk):
-        i1 = min(i0 + chunk, patch.height)
-        inside = ay2[i0:i1, None] + ax2[None, :] <= thr
-        if not inside.any():
-            continue
-        mask = np.isin(patch.labels[i0:i1].astype(np.int64), b_arr)
-        total += int(np.count_nonzero(mask & inside))
-    return total
+    return int(_ball_letter_counts(patch, np.array([float(R)]), b).sum())
 
 
 def ball_weight_scan(patch: GridPatch, radii: Union[np.ndarray, Sequence[float]],
                      weights: Union[np.ndarray, Sequence[float]]) -> np.ndarray:
     """Sum of per-letter weights over cells inside B_R, for each R in radii.
 
-    One pass collects the scaled corner distances of all cells carrying a
-    nonzero weight; a sort plus cumulative sum then answers every radius.
+    Counts the cells of every nonzero-weight letter inside each ball in
+    exact integers (`_ball_letter_counts`) and returns sum_a w_a N_a(R).
+    With integer weights every sum is exact.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size == 0 or (radii < 0).any():
@@ -447,30 +481,10 @@ def ball_weight_scan(patch: GridPatch, radii: Union[np.ndarray, Sequence[float]]
     if weights.ndim != 1 or len(weights) <= int(patch.labels.max()):
         raise ValueError("weights must cover every letter appearing in the patch")
     _coverage_gate(patch, float(radii.max()))
-    ay2, ax2 = _scaled_row_col_dist2(patch)
-    parts_s: list[np.ndarray] = []
-    parts_w: list[np.ndarray] = []
-    chunk = max(1, (1 << 22) // max(1, patch.width))
-    for i0 in range(0, patch.height, chunk):
-        i1 = min(i0 + chunk, patch.height)
-        w = weights[patch.labels[i0:i1]]
-        nz = w != 0.0
-        if not nz.any():
-            continue
-        s = ay2[i0:i1, None] + ax2[None, :]
-        parts_s.append(s[nz])
-        parts_w.append(w[nz])
-    if not parts_s:
-        return np.zeros_like(radii)
-    s_all = np.concatenate(parts_s)
-    w_all = np.concatenate(parts_w)
-    order = np.argsort(s_all, kind="stable")
-    s_all = s_all[order]
-    cum = np.cumsum(w_all[order])
-    thr = (2.0 * radii) ** 2 * (1.0 + 1e-12)
-    idx = np.searchsorted(s_all, thr, side="right")
+    letters = np.flatnonzero(weights)
     out = np.zeros_like(radii)
-    out[idx > 0] = cum[idx[idx > 0] - 1]
+    for w, n_a in zip(weights[letters], _ball_letter_counts(patch, radii, letters)):
+        out += w * n_a
     return out
 
 

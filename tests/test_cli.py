@@ -110,6 +110,33 @@ def test_second_order_2d_needs_R(tmp_path):
     assert code == 2
 
 
+def test_second_order_length_cap_exit(tmp_path, capsys):
+    code = run("second-order", "--config", fixture_path("cantor"),
+               "--n", 10 ** 11, "--c", 0.47, "--replicas", 1, "--out", tmp_path)
+    assert code == 2
+    assert not (tmp_path / "second_order.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+SERIES_ARGS = {
+    "second-order": ("--n", 3 ** 5, "--c", 0.5),
+    "frequency": ("--b", 1, "--n", 3 ** 5, "--c", 0.48),
+    "logfreq": ("--a", 0, "--n", 3 ** 5),
+}
+
+
+@pytest.mark.parametrize("replicas", [0, -1])
+@pytest.mark.parametrize("command", sorted(SERIES_ARGS))
+def test_series_rejects_bad_replicas(tmp_path, capsys, command, replicas):
+    code = run(command, "--config", fixture_path("cantor"), *SERIES_ARGS[command],
+               "--replicas", replicas, "--out", tmp_path)
+    assert code == 2
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_second_order_c_from_density(tmp_path):
     assert run("density", "--config", fixture_path("cantor"), "--seed", 5,
                "--k", 6, "--replicas", 4, "--out", tmp_path) == 0

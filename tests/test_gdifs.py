@@ -11,8 +11,8 @@ from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
                        ball_measure_bracket, build_graph, cylinder_measure,
                        load_substitution, mass_vector, natural_projection)
 from subtiling import gdifs
-from subtiling.gdifs import (_bracket_core, _measures_multiradius, _norm_factor,
-                             dimension)
+from subtiling.gdifs import (_bracket_core, _default_depth, _measures_multiradius,
+                             _norm_factor, dimension)
 
 from conftest import Workset, rng
 
@@ -325,8 +325,8 @@ def _per_radius_trapezoid(graph, mass, seed, k, J, depth, side, terms):
     return total / (J * k), syst / (J * k)
 
 
-# two_vertex has lam = 5: at the 1-d default depth 26 its cylinders are
-# narrower than the float spacing of their offsets, so it runs at 18.
+# two_vertex has lam = 5: at depth 26 its cylinders are narrower than the
+# float spacing of their offsets, so it runs at 18, its default depth.
 @pytest.mark.parametrize("name, k, depth", [
     ("cantor", 6, None), ("carpet", 2, None), ("two_vertex", 5, 18)])
 def test_pointwise_matches_per_radius_trapezoid(name, k, depth, request):
@@ -340,6 +340,27 @@ def test_pointwise_matches_per_radius_trapezoid(name, k, depth, request):
         ref, bound = _per_radius_trapezoid(ws.graph, ws.mass, stream, k, J,
                                            est.depth, est.side, 60)
         assert abs(value - ref) <= bound
+
+
+def test_default_depth_follows_lam(subs, carpet_ws):
+    depths = {name: _default_depth(build_graph(subs[name]))
+              for name in ("cantor", "cantor1001", "sigma2", "sigma_k1")}
+    assert depths == {"cantor": 26, "cantor1001": 26, "sigma2": 13, "sigma_k1": 13}
+    assert _default_depth(carpet_ws.graph) == 7
+
+
+@pytest.mark.parametrize("name", ["sigma2", "sigma_k1"])
+def test_lam9_default_bracket_holds_deeper_value(name, subs):
+    # past float resolution (depth 26 at lam 9) the bracket closes to width
+    # 0; at the default depth it must stay open and hold the value one
+    # level deeper
+    ws = Workset(subs[name])
+    for seed in (3, 4):
+        est = average_density_pointwise(ws.graph, ws.mass, seed=seed, k=4, replicas=1)
+        deeper = average_density_pointwise(ws.graph, ws.mass, seed=seed, k=4,
+                                           replicas=1, depth=est.depth + 1)
+        assert est.depth == 13 and est.systematic_bound > 0.0
+        assert abs(est.c_hat - deeper.c_hat) <= est.systematic_bound
 
 
 def test_multiradius_active_set_guard(carpet_ws, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -335,6 +336,100 @@ def test_ball_weight_scan_general_weights(carpet):
     zeros_only = ball_weight_scan(p, radii, np.array([1.0, 0.0]))
     ones_only = ball_weight_scan(p, radii, np.array([0.0, 1.0]))
     assert np.allclose(both, 0.5 * zeros_only + 2.0 * ones_only, rtol=1e-12)
+
+
+def _sort_scan(patch, radii, weights):
+    """Reference scan: every weighted cell's scaled corner distance, sorted once.
+
+    A cell centered at (cx, cy) lies in B_R exactly when
+    (2|cx| + 1)^2 + (2|cy| + 1)^2 <= (2R)^2; a cumulative sum over the
+    cells in order of that distance answers every radius.
+    """
+    i, j = np.nonzero(weights[patch.labels] != 0.0)
+    ax = np.abs(2 * patch.x_lo + 2 * j + 1) + 1
+    ay = np.abs(2 * patch.y_top - 2 * i - 1) + 1
+    s = ax * ax + ay * ay
+    order = np.argsort(s, kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(weights[patch.labels[i, j]][order])])
+    thr = (2.0 * np.asarray(radii)) ** 2 * (1.0 + 1e-12)
+    return cum[np.searchsorted(s[order], thr, side="right")]
+
+
+def _cell_counts(patch, radii, n_letters):
+    """Per-cell brute force: N[a, r] = cells of letter a with all four corners in B_r."""
+    counts = np.zeros((n_letters, len(radii)), dtype=np.int64)
+    for i in range(patch.height):
+        y_hi = patch.y_top - i
+        for j in range(patch.width):
+            x_lo = patch.x_lo + j
+            far2 = max(x * x + y * y for x in (x_lo, x_lo + 1) for y in (y_hi - 1, y_hi))
+            for k, r in enumerate(radii):
+                if 4 * far2 <= (2.0 * r) ** 2 * (1.0 + 1e-12):
+                    counts[patch.labels[i, j], k] += 1
+    return counts
+
+
+def _random_patch(gen):
+    """3-letter patch with the origin at an arbitrary lattice point inside it."""
+    h, w = (int(v) for v in gen.integers(2, 24, size=2))
+    labels = gen.integers(0, 3, size=(h, w)).astype(np.uint8)
+    return GridPatch(labels, x_lo=-int(gen.integers(1, w)), y_top=int(gen.integers(1, h)))
+
+
+def _oracle_radii(gen, patch):
+    """0, the covered radius, random radii and every exact tie sqrt(m)/2 in range."""
+    cov = patch.covered_radius
+    ties = np.sqrt(np.arange(int(4 * cov * cov) + 1)) / 2.0
+    return np.concatenate([[0.0, cov], gen.uniform(0.0, cov, size=8), ties[ties <= cov]])
+
+
+def test_ball_weight_scan_matches_cell_oracle():
+    gen = rng(41)
+    for _ in range(40):
+        p = _random_patch(gen)
+        radii = _oracle_radii(gen, p)
+        n_ar = _cell_counts(p, radii, 3)
+        for w in (np.array([0.0, 1.0, 0.0]), np.array([2.0, 0.0, -3.0]),
+                  np.array([1.0, 5.0, 7.0])):
+            scanned = ball_weight_scan(p, radii, w)
+            assert np.array_equal(scanned, (w @ n_ar).astype(float))
+            assert np.array_equal(scanned, _sort_scan(p, radii, w))
+        w = gen.uniform(0.1, 1.0, size=3) / 3.0
+        scanned = ball_weight_scan(p, radii, w)
+        exact = w @ n_ar
+        assert np.allclose(scanned, exact, rtol=1e-12, atol=0.0)
+        assert np.allclose(scanned, _sort_scan(p, radii, w), rtol=1e-12, atol=0.0)
+        for k in (0, len(radii) // 2, len(radii) - 1):
+            assert count_B_tiles_ball_2d(p, radii[k], [1, 2]) == n_ar[1:, k].sum()
+
+
+def test_ball_weight_scan_exact_ties():
+    # around the origin the four cells have their farthest corner at distance
+    # sqrt(2), the next eight at sqrt(5) and the next four at sqrt(8): a ball
+    # whose radius equals one of those holds the cells exactly
+    labels = rng(43).integers(0, 3, size=(7, 6)).astype(np.uint8)
+    p = GridPatch(labels, x_lo=-3, y_top=3)
+    radii = np.array([0.0, math.sqrt(2.0) - 1e-9, math.sqrt(2.0), math.sqrt(5.0) - 1e-9,
+                      math.sqrt(5.0), math.sqrt(8.0), 3.0])
+    n_ar = _cell_counts(p, radii, 3)
+    assert n_ar.sum(axis=0).tolist() == [0, 0, 4, 4, 12, 16, 16]
+    w = np.array([1.0, 10.0, 100.0])
+    assert np.array_equal(ball_weight_scan(p, radii, w), (w @ n_ar).astype(float))
+    assert np.array_equal(ball_weight_scan(p, radii, w), _sort_scan(p, radii, w))
+
+
+def test_ball_weight_scan_matches_sort_scan_on_carpet(carpet):
+    p = grid_patch(carpet, default_seed(carpet), 5)
+    radii = np.exp(np.linspace(0.0, np.log(p.covered_radius), 41))
+    w = np.array([0.0, 1.0])
+    assert np.array_equal(ball_weight_scan(p, radii, w), _sort_scan(p, radii, w))
+    # a float cumulative sum over 10^5 cells drifts by ~1e-11 relative, so the
+    # non-dyadic reference is the rational sum of exact per-letter counts
+    w = np.array([0.3, 1.0 / 3.0])
+    n_ar = [_sort_scan(p, radii, np.eye(2)[a]) for a in range(2)]
+    exact = np.array([float(Fraction(w[0]) * int(n0) + Fraction(w[1]) * int(n1))
+                      for n0, n1 in zip(*n_ar)])
+    assert np.allclose(ball_weight_scan(p, radii, w), exact, rtol=1e-15, atol=0.0)
 
 
 def test_patch_text(carpet):
