@@ -32,8 +32,8 @@ from .ergodic import (DistributionTable, FrequencySeries, MeasureNormalization,
                       birkhoff_prefix_sums, distribution_experiment,
                       log_frequency, mass_observable, measure_normalization,
                       ratio_check, sample_transversal_orbit,
-                      sample_transversal_patch, second_order_symbolic,
-                      second_order_tiling, sum_by_parts, transverse_weights)
+                      second_order_symbolic, second_order_tiling,
+                      sum_by_parts, transverse_weights)
 
 __version__ = "0.1.0"
 

@@ -3,8 +3,10 @@
 Every command reads a JSON config (substitution rules, or a bare
 matrix with an external inflation factor for `analyze`), writes its
 data products into --out, and records a manifest naming the command,
-parameters, seed and output files.  `rerun --manifest` replays a
-recorded run and reproduces the outputs byte for byte.
+parameters, seed, output files and the sha256 of the config.
+`rerun --manifest` replays a recorded run and reproduces the outputs
+byte for byte; it refuses (exit 2) a config whose sha256 no longer
+matches the recorded one.
 
 Exit codes: 0 success, 2 invalid or inadmissible input (including a
 word or patch that would exceed the length cap), 3 bracket precision
@@ -15,6 +17,7 @@ standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -149,14 +152,22 @@ def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
     except ValueError:
         with open(spec, encoding="utf-8") as f:
             doc = json.load(f)
-        est = doc.get("estimate", doc)
-        if "c_hat" not in est:
+        est = doc.get("estimate", doc) if isinstance(doc, dict) else None
+        if not isinstance(est, dict) or "c_hat" not in est:
             raise ConfigError(f"{spec}: no c_hat field in density report")
-        c_hat = float(est["c_hat"])
+        try:
+            c_hat = float(est["c_hat"])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{spec}: c_hat is not a number") from None
         source = spec
-    if not c_hat > 0.0:
-        raise ConfigError("c must be positive")
+    if not (np.isfinite(c_hat) and c_hat > 0.0):
+        raise ConfigError(f"c must be finite and positive, got {c_hat!r}")
     return ctx.norm.coupled_c(c_hat), source
+
+
+def _config_sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _manifest(out_dir: str, command: str, config: str, params: dict,
@@ -165,6 +176,7 @@ def _manifest(out_dir: str, command: str, config: str, params: dict,
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": os.path.abspath(config),
+        "config_sha256": _config_sha256(config),
         "parameters": params,
         "seed": seed,
         "threads": threads,
@@ -456,6 +468,10 @@ def run_rerun(manifest_path: str, out_dir: Optional[str]) -> int:
     command = man["command"]
     if command not in _RUNNERS:
         raise ConfigError(f"manifest names unknown command {command!r}")
+    recorded = man.get("config_sha256")
+    if recorded is not None and _config_sha256(man["config"]) != recorded:
+        raise ConfigError(f"{man['config']}: config changed since the recorded "
+                          "run (sha256 differs)")
     target = out_dir if out_dir is not None else os.path.dirname(
         os.path.abspath(manifest_path))
     return _RUNNERS[command](man["config"], target, int(man["seed"]),

@@ -25,6 +25,7 @@ sits in the measure-zero exceptional set.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -57,13 +58,43 @@ __all__ = [
     "sum_by_parts",
     "TransversalSampler",
     "sample_transversal_orbit",
-    "sample_transversal_patch",
     "DistributionTable",
     "distribution_experiment",
     "CoverageError",
 ]
 
 _CHUNK = 1 << 21
+
+# (n, p) -> read-only k ** p for k = 1..n; a series command asks for one
+# table and every replica reads it, so two slots cover a command plus a
+# caller that alternates between two exponents.
+_KPOW_SLOTS = 2
+_kpow_cache: dict[tuple[int, float], np.ndarray] = {}
+_kpow_lock = threading.Lock()
+
+
+def _k_powers(n: int, p: float) -> np.ndarray:
+    """k ** p for k = 1..n, computed once per (n, p) and shared.
+
+    The entries are the same numbers that chunked evaluation of
+    np.arange(lo + 1, hi + 1) ** p gives, so slicing the table keeps
+    every partial bit-identical.
+    """
+    key = (int(n), float(p))
+    with _kpow_lock:
+        tab = _kpow_cache.get(key)
+        if tab is None:
+            tab = np.arange(1, key[0] + 1, dtype=np.float64) ** key[1]
+            tab.flags.writeable = False
+            while len(_kpow_cache) >= _KPOW_SLOTS:
+                _kpow_cache.pop(next(iter(_kpow_cache)))
+            _kpow_cache[key] = tab
+    return tab
+
+
+def _check_c(c: float) -> None:
+    if not (np.isfinite(c) and c > 0.0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
 
 
 # ---- normalizations ----
@@ -490,8 +521,7 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
     """
     if not 0.0 < alpha:
         raise ValueError("alpha must be positive")
-    if not c > 0.0:
-        raise ValueError("c must be positive")
+    _check_c(c)
     grid = _report_grid(int(n_max), grid_density)
     n = int(grid[-1])
     letters = _orbit_letters(x, n)
@@ -500,6 +530,7 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
         raise ValueError("letter id outside the observable")
     if target is None and norm is not None:
         target = norm.integral(f)
+    kp = _k_powers(n, alpha + 1.0)
     partials = np.empty(len(grid))
     total = 0.0
     s_run = 0.0
@@ -508,8 +539,7 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
         for lo in range(prev, gval, _CHUNK):
             hi = min(lo + _CHUNK, gval)
             s_chunk = s_run + np.cumsum(w[letters[lo:hi]])
-            k = np.arange(lo + 1, hi + 1, dtype=np.float64)
-            total += float(np.sum(s_chunk / (k ** (alpha + 1.0))))
+            total += float(np.sum(s_chunk / kp[lo:hi]))
             s_run = float(s_chunk[-1])
         prev = gval
         partials[gi] = total / (c * np.log(gval))
@@ -533,8 +563,7 @@ def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    if not c > 0.0:
-        raise ValueError("c must be positive")
+    _check_c(c)
     if grid_density < 1:
         raise ValueError("grid_density must be positive")
     if R_max < 2.0:
@@ -637,15 +666,15 @@ def _frequency_series(x, letter: int, alpha: float, n_max: int,
     grid = _report_grid(int(n_max), grid_density)
     n = int(grid[-1])
     letters = _orbit_letters(x, n + 1)
+    kp = _k_powers(n, alpha)
     partials = np.empty(len(grid))
     total = 0.0
     prev = 0
     for gi, gval in enumerate(grid.tolist()):
         for lo in range(prev, gval, _CHUNK):
             hi = min(lo + _CHUNK, gval)
-            k = np.arange(lo + 1, hi + 1, dtype=np.float64)
             hits = letters[lo + 1: hi + 1] == letter
-            total += float(np.sum(hits / k ** alpha))
+            total += float(np.sum(hits / kp[lo:hi]))
         prev = gval
         partials[gi] = total / np.log(gval)
     return FrequencySeries(grid, partials, target, float(alpha), int(letter))
@@ -663,6 +692,8 @@ def alpha_frequency(x, b: int, alpha: float, n_max: int, *,
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
+    if c is not None:
+        _check_c(c)
     target = None
     if norm is not None:
         nu_b = norm.nu_of(int(b))
@@ -854,13 +885,6 @@ def sample_transversal_orbit(sub: Substitution, graph: GdifsGraph,
                              mass: MassVector, n: int, seed) -> np.ndarray:
     """One transversal-random orbit x(0) .. x(n); see TransversalSampler."""
     return TransversalSampler(sub, graph, mass, seed).orbit(n)
-
-
-def sample_transversal_patch(sub: Substitution, graph: GdifsGraph,
-                             mass: MassVector, level: int, R: float,
-                             seed) -> GridPatch:
-    """One transversal-random recentered patch; see TransversalSampler."""
-    return TransversalSampler(sub, graph, mass, seed).patch(level, R)
 
 
 def _prefix_populations(sub: Substitution, graph: GdifsGraph) -> np.ndarray:

@@ -190,13 +190,43 @@ def word_to_str(sub: Substitution, w: np.ndarray) -> str:
 
 # ---- applying and iterating ----
 
+_tables_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _image_table(sub: Substitution) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Rule images padded into one (n_letters, max_rule_len) uint8 table.
+
+    The mask marks the real letters of each row; it is None when every
+    image has the same length, so that rows need no trimming.
+    """
+    got = _tables_cache.get(sub)
+    if got is None:
+        lens = sub.rule_lengths
+        width = int(lens.max())
+        mask = np.arange(width) < lens[:, None]
+        tab = np.zeros((sub.n_letters, width), dtype=np.uint8)
+        tab[mask] = np.concatenate(sub.images)
+        got = (tab, None if (lens == width).all() else mask)
+        _tables_cache[sub] = got
+    return got
+
+
 def apply(sub: Substitution, w: np.ndarray) -> np.ndarray:
-    """One substitution step on a word (dim 1)."""
+    """One substitution step on a word (dim 1).
+
+    One gather from the padded image table.  Its working memory is one
+    intp index per letter of w plus len(w) * max_rule_len bytes, the
+    product the callers check against the length cap.  Row-major
+    boolean selection keeps the letter order when images have unequal
+    lengths.
+    """
     if sub.dim != 1:
         raise ValueError("apply works on 1-d words; use tiling.grid_patch for dim 2")
     if len(w) == 0:
         return _as_word([])
-    out = np.concatenate([sub.images[int(a)] for a in w])
+    tab, mask = _image_table(sub)
+    idx = np.asarray(w, dtype=np.intp)
+    out = tab[idx].ravel() if mask is None else tab[idx][mask[idx]]
     out.flags.writeable = False
     return out
 

@@ -149,6 +149,42 @@ def test_second_order_c_from_density(tmp_path):
     assert doc["c_used"] == pytest.approx(est, rel=1e-12)
 
 
+NONFINITE_C = {
+    "second-order": ("--n", 1000, "--replicas", 2),
+    "frequency": ("--b", 1, "--n", 1000, "--replicas", 2),
+}
+
+
+@pytest.mark.parametrize("c", ["inf", "-inf", "nan", "1e999"])
+@pytest.mark.parametrize("command", sorted(NONFINITE_C))
+def test_series_reject_nonfinite_c(tmp_path, capsys, command, c):
+    out = tmp_path / "out"
+    code = run(command, "--config", fixture_path("cantor"), *NONFINITE_C[command],
+               f"--c={c}", "--out", out)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: c must be finite")
+
+
+@pytest.mark.parametrize("report,message", [
+    ('{"estimate": {"c_hat": Infinity}}', "c must be finite"),
+    ('{"estimate": {"c_hat": NaN}}', "c must be finite"),
+    ('{"estimate": {"c_hat": null}}', "c_hat is not a number"),
+    ('[0.47]', "no c_hat field"),
+])
+def test_second_order_rejects_bad_c_hat(tmp_path, capsys, report, message):
+    path = tmp_path / "density.json"
+    path.write_text(report)
+    out = tmp_path / "out"
+    code = run("second-order", "--config", fixture_path("cantor"),
+               "--n", 1000, "--c", path, "--replicas", 2, "--out", out)
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+
 # ---- frequency / logfreq / distribution ----
 
 def test_frequency_run(tmp_path):
@@ -204,3 +240,52 @@ def test_rerun_preserves_seed(tmp_path):
                "--out", again) == 0
     assert (first / "density.json").read_bytes() == (again / "density.json").read_bytes()
     assert read_json(again / "density_manifest.json")["seed"] == 33
+
+
+def _copy_config(tmp_path):
+    cfg = tmp_path / "cantor.json"
+    cfg.write_bytes(open(fixture_path("cantor"), "rb").read())
+    return cfg
+
+
+def test_rerun_unchanged_config_copy(tmp_path):
+    cfg = _copy_config(tmp_path)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("frequency", "--config", cfg, "--b", 1, "--n", 3 ** 5,
+               "--c", 0.48, "--seed", 4, "--replicas", 2, "--out", first) == 0
+    man = read_json(first / "frequency_manifest.json")
+    assert len(man["config_sha256"]) == 64
+    assert run("rerun", "--manifest", first / "frequency_manifest.json",
+               "--out", again) == 0
+    for name in man["outputs"]:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+    assert read_json(again / "frequency_manifest.json")["config_sha256"] == \
+        man["config_sha256"]
+
+
+def test_rerun_rejects_edited_config(tmp_path, capsys):
+    cfg = _copy_config(tmp_path)
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("second-order", "--config", cfg, "--n", 3 ** 5, "--c", 0.5,
+               "--seed", 9, "--replicas", 2, "--out", first) == 0
+    cfg.write_text(cfg.read_text().replace('"101"', '"111"'))
+    capsys.readouterr()
+    code = run("rerun", "--manifest", first / "second_order_manifest.json",
+               "--out", again)
+    assert code == 2
+    assert not again.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "sha256" in err[0]
+
+
+def test_rerun_without_recorded_hash(tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("logfreq", "--config", fixture_path("cantor"), "--a", 0,
+               "--n", 3 ** 5, "--seed", 6, "--replicas", 2, "--out", first) == 0
+    path = first / "logfreq_manifest.json"
+    man = read_json(path)
+    del man["config_sha256"]
+    path.write_text(json.dumps(man))
+    assert run("rerun", "--manifest", path, "--out", again) == 0
+    for name in man["outputs"]:
+        assert (first / name).read_bytes() == (again / name).read_bytes()

@@ -5,14 +5,16 @@ import pytest
 
 from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
                        TransversalSampler, TwoSidedWord, alpha_exponent,
-                       alpha_frequency, birkhoff_prefix_sums,
+                       alpha_frequency, birkhoff_prefix_sums, build_graph,
                        distribution_experiment, expand_grid, iterate,
-                       log_frequency, mass_observable, measure_normalization,
-                       orbit_generate, ratio_check, sample_transversal_orbit,
+                       log_frequency, mass_observable, mass_vector,
+                       measure_normalization, orbit_generate, ratio_check,
+                       sample_transversal_orbit,
                        second_order_symbolic, second_order_tiling,
                        sum_by_parts, suspension_lengths, transverse_weights,
                        window_from_sequence)
-from subtiling.ergodic import _window_labels
+from subtiling import ergodic
+from subtiling.ergodic import _report_grid, _window_labels
 
 from conftest import rng
 
@@ -351,6 +353,96 @@ def test_log_frequency_constant_word():
     lf = log_frequency(x, 0, n)
     harm = np.array([np.sum(1.0 / np.arange(1, g + 1)) for g in lf.grid])
     assert np.allclose(lf.partials, harm / np.log(lf.grid), rtol=1e-12)
+
+
+# ---- series against the chunk-recomputing loops ----
+
+def _second_order_oracle(x, w, alpha, c, n_max, grid_density=8):
+    """Partials with k ** (alpha + 1) recomputed in every chunk."""
+    grid = _report_grid(n_max, grid_density)
+    letters = np.asarray(x)[:int(grid[-1])].astype(np.int64)
+    partials = np.empty(len(grid))
+    total, s_run, prev = 0.0, 0.0, 0
+    for gi, gval in enumerate(grid.tolist()):
+        for lo in range(prev, gval, ergodic._CHUNK):
+            hi = min(lo + ergodic._CHUNK, gval)
+            s_chunk = s_run + np.cumsum(w[letters[lo:hi]])
+            k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            total += float(np.sum(s_chunk / (k ** (alpha + 1.0))))
+            s_run = float(s_chunk[-1])
+        prev = gval
+        partials[gi] = total / (c * np.log(gval))
+    return partials
+
+
+def _frequency_oracle(x, letter, alpha, n_max, grid_density=8):
+    """Frequency partials with k ** alpha recomputed in every chunk."""
+    grid = _report_grid(n_max, grid_density)
+    letters = np.asarray(x)[:int(grid[-1]) + 1].astype(np.int64)
+    partials = np.empty(len(grid))
+    total, prev = 0.0, 0
+    for gi, gval in enumerate(grid.tolist()):
+        for lo in range(prev, gval, ergodic._CHUNK):
+            hi = min(lo + ergodic._CHUNK, gval)
+            k = np.arange(lo + 1, hi + 1, dtype=np.float64)
+            hits = letters[lo + 1: hi + 1] == letter
+            total += float(np.sum(hits / k ** alpha))
+        prev = gval
+        partials[gi] = total / np.log(gval)
+    return partials
+
+
+SERIES_WEIGHTS = [(0.0, 1.0), (2.0, -3.0), (0.3, 0.1), (1.0 / 3.0, 0.7)]
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 21])
+def test_series_match_chunked_oracle(monkeypatch, subs, chunk):
+    monkeypatch.setattr(ergodic, "_CHUNK", chunk)
+    n = 3 ** 9
+    for name, seed in (("cantor", 71), ("cantor1001", 72)):
+        sub = subs[name]
+        alpha = alpha_exponent(sub)
+        graph = build_graph(sub)
+        mass = mass_vector(graph, transverse_weights(sub).xi_tr)
+        sam = TransversalSampler(sub, graph, mass, seed)
+        for _ in range(2):
+            x = sam.orbit(n + 1)
+            for wts in SERIES_WEIGHTS:
+                f = Observable(np.array(wts), formal=True)
+                got = second_order_symbolic(x, f, alpha, 0.47, n, grid_density=5)
+                ref = _second_order_oracle(x, f.weights, alpha, 0.47, n, 5)
+                assert np.array_equal(got.partials, ref), (name, wts)
+            for b in (0, 1):
+                got = alpha_frequency(x, b, alpha, n).partials
+                assert np.array_equal(got, _frequency_oracle(x, b, alpha, n))
+                got = log_frequency(x, b, n).partials
+                assert np.array_equal(got, _frequency_oracle(x, b, 1.0, n))
+
+
+def test_k_power_table_shared(cantor_orbit, cantor):
+    alpha = alpha_exponent(cantor)
+    n = 3 ** 7
+    second_order_symbolic(cantor_orbit, _ind(1), alpha, 1.0, n)
+    tab = ergodic._kpow_cache[(n, alpha + 1.0)]
+    second_order_symbolic(cantor_orbit, _ind(0), alpha, 2.0, n)
+    assert ergodic._kpow_cache[(n, alpha + 1.0)] is tab
+    assert not tab.flags.writeable and len(tab) == n
+    alpha_frequency(cantor_orbit, 1, alpha, n)
+    log_frequency(cantor_orbit, 1, n)
+    assert len(ergodic._kpow_cache) <= ergodic._KPOW_SLOTS
+    assert ergodic._k_powers(n, 1.0) is ergodic._k_powers(n, 1.0)
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+def test_series_reject_nonfinite_c(cantor_orbit, cantor, cantor_ws, c):
+    alpha = alpha_exponent(cantor)
+    with pytest.raises(ValueError, match="c must be finite"):
+        second_order_symbolic(cantor_orbit, _ind(1), alpha, c, 100)
+    with pytest.raises(ValueError, match="c must be finite"):
+        alpha_frequency(cantor_orbit, 1, alpha, 100, c=c, norm=cantor_ws.norm)
+    win = window_from_sequence(cantor_orbit, cantor_ws.xi_len, 0, 200)
+    with pytest.raises(ValueError, match="c must be finite"):
+        second_order_tiling(win, _ind(1), alpha, c, 50.0)
 
 
 # ---- transversal sampling ----

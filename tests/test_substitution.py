@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subtiling import (ConfigError, LengthCapError, accordion_decompose,
                        apply, fixed_point_seeds, fixture_path, in_language,
                        iterate, load_substitution, orbit_generate,
                        population_vector, power, substitution_matrix,
                        word_from_str, word_to_str)
-from subtiling.substitution import parse_substitution
+from subtiling.substitution import _as_word, parse_substitution
 
 from conftest import rng
 
@@ -65,6 +68,72 @@ def test_iterate_counts(cantor):
 def test_iterate_cap_reports_predicted_length(cantor):
     with pytest.raises(LengthCapError, match=str(3 ** 20)):
         iterate(cantor, 0, 20)
+
+
+# ---- apply / iterate against the list-concatenation oracle ----
+
+def _apply_oracle(sub, w):
+    """One step by concatenating one rule image per letter."""
+    if len(w) == 0:
+        return _as_word([])
+    return np.concatenate([sub.images[int(a)] for a in w])
+
+
+def _iterate_oracle(sub, a, n):
+    w = _as_word([a])
+    for _ in range(n):
+        w = _apply_oracle(sub, w)
+    return w
+
+
+@st.composite
+def substitutions_1d(draw):
+    """1-d rules on 2-5 letters with images of length 1-5.
+
+    Half of the draws give every image the same length (the plain
+    gather), the other half lengths drawn per letter (the masked one).
+    """
+    n = draw(st.integers(2, 5))
+    letters = "abcde"[:n]
+    if draw(st.booleans()):
+        lens = [draw(st.integers(1, 5))] * n
+    else:
+        lens = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    rules = {a: "".join(draw(st.lists(st.sampled_from(letters),
+                                      min_size=m, max_size=m)))
+             for a, m in zip(letters, lens)}
+    return parse_substitution(json.dumps(
+        {"alphabet": list(letters), "dim": 1, "rules": rules}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sub=substitutions_1d(),
+       dtype=st.sampled_from([np.uint8, np.int64]))
+def test_apply_matches_oracle(data, sub, dtype):
+    ids = data.draw(st.lists(st.integers(0, sub.n_letters - 1), max_size=40))
+    w = np.asarray(ids, dtype=dtype)
+    out = apply(sub, w)
+    ref = _apply_oracle(sub, w)
+    assert out.dtype == np.uint8 and out.shape == ref.shape
+    assert out.tobytes() == ref.astype(np.uint8).tobytes()
+    assert not out.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(sub=substitutions_1d(), a=st.integers(0, 4), n=st.integers(0, 6))
+def test_iterate_matches_oracle(sub, a, n):
+    a %= sub.n_letters
+    w = iterate(sub, a, n)
+    ref = _iterate_oracle(sub, a, n)
+    assert w.dtype == np.uint8 and w.tobytes() == ref.tobytes()
+    assert np.array_equal(population_vector(sub, w),
+                          np.linalg.matrix_power(substitution_matrix(sub), n)[:, a])
+
+
+def test_apply_fixture_words_match_oracle(cantor, cantor1001):
+    for sub, n in ((cantor, 9), (cantor1001, 8)):
+        for a in range(sub.n_letters):
+            assert iterate(sub, a, n).tobytes() == _iterate_oracle(sub, a, n).tobytes()
 
 
 # ---- population vectors and the matrix ----
