@@ -63,33 +63,71 @@ __all__ = [
     "CoverageError",
 ]
 
-_CHUNK = 1 << 21
+# (kind, n, p) -> read-only power-sum table over k = 1..n: "tail" holds
+# sum_{i=j+1..n} i^-p at index j, "prefix" sum_{i=1..j} i^-p.  A series
+# command asks for one table and every replica reads it, so two slots
+# cover a command plus a caller that alternates between two exponents.
+_TABLE_SLOTS = 2
+_table_cache: dict[tuple[str, int, float], np.ndarray] = {}
+_table_lock = threading.Lock()
 
-# (n, p) -> read-only k ** p for k = 1..n; a series command asks for one
-# table and every replica reads it, so two slots cover a command plus a
-# caller that alternates between two exponents.
-_KPOW_SLOTS = 2
-_kpow_cache: dict[tuple[int, float], np.ndarray] = {}
-_kpow_lock = threading.Lock()
 
+def _running_sums(v: np.ndarray) -> np.ndarray:
+    """0, v[0], v[0] + v[1], ... accumulated in np.longdouble.
 
-def _k_powers(n: int, p: float) -> np.ndarray:
-    """k ** p for k = 1..n, computed once per (n, p) and shared.
-
-    The entries are the same numbers that chunked evaluation of
-    np.arange(lo + 1, hi + 1) ** p gives, so slicing the table keeps
-    every partial bit-identical.
+    Extended precision keeps the rounding of a long running sum below
+    one float64 ulp where the platform has it; elsewhere it is float64.
     """
-    key = (int(n), float(p))
-    with _kpow_lock:
-        tab = _kpow_cache.get(key)
+    acc = np.zeros(v.size + 1, dtype=np.longdouble)
+    acc[1:] = v
+    return np.cumsum(acc, out=acc)
+
+
+def _power_sums(kind: str, n: int, p: float) -> np.ndarray:
+    """Length n + 1 tail or prefix sums of k^-p, computed once and shared.
+
+    The terms k^-p are built in place in the table and then overwritten
+    by their running sums, so the build holds one float64 and one
+    longdouble array of length n + 1.
+    """
+    key = (kind, int(n), float(p))
+    with _table_lock:
+        tab = _table_cache.get(key)
         if tab is None:
-            tab = np.arange(1, key[0] + 1, dtype=np.float64) ** key[1]
+            tab = np.arange(key[1] + 1, dtype=np.float64)
+            np.power(tab[1:], -key[2], out=tab[1:])
+            if kind == "tail":
+                tab[:] = _running_sums(tab[:0:-1])[::-1]
+            else:
+                tab[:] = _running_sums(tab[1:])
             tab.flags.writeable = False
-            while len(_kpow_cache) >= _KPOW_SLOTS:
-                _kpow_cache.pop(next(iter(_kpow_cache)))
-            _kpow_cache[key] = tab
+            while len(_table_cache) >= _TABLE_SLOTS:
+                _table_cache.pop(next(iter(_table_cache)))
+            _table_cache[key] = tab
     return tab
+
+
+def _occurrences(letters: np.ndarray, w: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions j with w[letters[j]] != 0, and those weights.
+
+    w must cover every letter id.  The mask compares the letters with
+    each weighted letter in place of a gather through w, which keeps the
+    uint8 orbit from being widened and costs one byte compare per
+    weighted letter and position.
+    """
+    hit = np.zeros(letters.shape, dtype=bool)
+    eq = np.empty(letters.shape, dtype=bool)
+    for a in np.flatnonzero(w).tolist():
+        np.equal(letters, a, out=eq)
+        hit |= eq
+    j = np.flatnonzero(hit)
+    return j, w[letters[j]]
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
 
 
 def _check_c(c: float) -> None:
@@ -310,17 +348,21 @@ def _full_weights(f: Observable, b_letters: Sequence[int],
 
 def _orbit_letters(x: Union[TwoSidedWord, np.ndarray, Sequence[int]],
                    need: int) -> np.ndarray:
+    """The first `need` letters as an integer array, a view when possible."""
     if isinstance(x, TwoSidedWord):
         if len(x.right) < need:
             raise ValueError(f"orbit provides {len(x.right)} letters, {need} needed")
-        return x.slice(0, need).astype(np.int64)
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError("orbit must be a one-dimensional letter array")
-    if arr.size < need:
-        raise ValueError(f"orbit provides {arr.size} letters, {need} needed")
-    arr = arr[:need].astype(np.int64)
-    if arr.size and arr.min() < 0:
+        arr = x.slice(0, need)
+    else:
+        arr = np.asarray(x)
+        if arr.ndim != 1:
+            raise ValueError("orbit must be a one-dimensional letter array")
+        if arr.size < need:
+            raise ValueError(f"orbit provides {arr.size} letters, {need} needed")
+        arr = arr[:need]
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind == "i" and arr.size and arr.min() < 0:
         raise ValueError("letter ids must be nonnegative")
     return arr
 
@@ -518,9 +560,13 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
     nu-typical orbit is the cylinder integral of f, provided c is the
     coupled average density.  The target column is taken from the
     explicit argument, else from norm, else left empty.
+
+    S_k is constant between visits to weighted letters, so the sum runs
+    over those visits j alone: sum_{k<=g} S_k k^-(alpha+1) =
+    sum_{j<g} w(x(j)) (T[j] - T[g]) with the shared tail sums
+    T[j] = sum_{i=j+1..n} i^-(alpha+1).
     """
-    if not 0.0 < alpha:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     _check_c(c)
     grid = _report_grid(int(n_max), grid_density)
     n = int(grid[-1])
@@ -530,19 +576,11 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
         raise ValueError("letter id outside the observable")
     if target is None and norm is not None:
         target = norm.integral(f)
-    kp = _k_powers(n, alpha + 1.0)
-    partials = np.empty(len(grid))
-    total = 0.0
-    s_run = 0.0
-    prev = 0
-    for gi, gval in enumerate(grid.tolist()):
-        for lo in range(prev, gval, _CHUNK):
-            hi = min(lo + _CHUNK, gval)
-            s_chunk = s_run + np.cumsum(w[letters[lo:hi]])
-            total += float(np.sum(s_chunk / kp[lo:hi]))
-            s_run = float(s_chunk[-1])
-        prev = gval
-        partials[gi] = total / (c * np.log(gval))
+    j, v = _occurrences(letters, w)
+    tail = _power_sums("tail", n, alpha + 1.0)
+    m = np.searchsorted(j, grid)
+    total = _running_sums(v * tail[j])[m] - tail[grid] * _running_sums(v)[m]
+    partials = total / (c * np.log(grid))
     return SecondOrderSeries(grid, partials, target, float(alpha), float(c),
                              kind="symbolic")
 
@@ -561,8 +599,7 @@ def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
     runs from R = 1 on a uniform log grid with trapezoid weights;
     every 8th node is a report point, starting at t = 2.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     _check_c(c)
     if grid_density < 1:
         raise ValueError("grid_density must be positive")
@@ -660,23 +697,29 @@ class FrequencySeries:
         return _series_csv(self.grid, self.partials, self.target)
 
 
+def _check_letter(letter: int) -> None:
+    if letter < 0:
+        raise ValueError(f"letter ids must be nonnegative, got {letter}")
+
+
 def _frequency_series(x, letter: int, alpha: float, n_max: int,
                       grid_density: int, target: Optional[float]
                       ) -> FrequencySeries:
+    """Sum k^-alpha over the visits k <= g to the letter.
+
+    A letter that fills more than half the orbit is summed as the
+    shared prefix sum_{k<=g} k^-alpha minus the visits to the others.
+    """
     grid = _report_grid(int(n_max), grid_density)
     n = int(grid[-1])
-    letters = _orbit_letters(x, n + 1)
-    kp = _k_powers(n, alpha)
-    partials = np.empty(len(grid))
-    total = 0.0
-    prev = 0
-    for gi, gval in enumerate(grid.tolist()):
-        for lo in range(prev, gval, _CHUNK):
-            hi = min(lo + _CHUNK, gval)
-            hits = letters[lo + 1: hi + 1] == letter
-            total += float(np.sum(hits / kp[lo:hi]))
-        prev = gval
-        partials[gi] = total / np.log(gval)
+    hit = _orbit_letters(x, n + 1)[1:] == letter
+    complement = 2 * int(np.count_nonzero(hit)) > n
+    j = np.flatnonzero(~hit if complement else hit)
+    m = np.searchsorted(j, grid)
+    total = _running_sums((j + 1.0) ** -alpha)[m]
+    if complement:
+        total = _power_sums("prefix", n, alpha)[grid] - total
+    partials = total / np.log(grid)
     return FrequencySeries(grid, partials, target, float(alpha), int(letter))
 
 
@@ -690,8 +733,8 @@ def alpha_frequency(x, b: int, alpha: float, n_max: int, *,
     for a nu-typical orbit the limit is alpha * c * nu([b]), which is
     filled in as the target when both c and norm are given.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
+    _check_letter(b)
     if c is not None:
         _check_c(c)
     target = None
@@ -709,6 +752,7 @@ def log_frequency(x, a: int, n_max: int, grid_density: int = 8) -> FrequencySeri
     the density-one expanding letter and 0 for every contracting
     letter, so no target is attached.
     """
+    _check_letter(a)
     return _frequency_series(x, int(a), 1.0, n_max, grid_density, None)
 
 
@@ -719,19 +763,19 @@ def sum_by_parts(ps: np.ndarray, alpha: float, n_grid) -> np.ndarray:
     ((k-1)^(-alpha) - k^(-alpha)); ps must cover k = 0..n+1.  Used to
     reconstruct frequency partials from second-order data exactly.
     """
+    _check_alpha(alpha)
     grid = _as_grid(n_grid)
     n_max = int(grid[-1])
     ps = np.asarray(ps, dtype=np.float64)
     if ps.ndim != 1 or ps.size < n_max + 2:
         raise ValueError(f"prefix sums must cover k = 0..{n_max + 1}")
+    k = np.arange(2, n_max + 1, dtype=np.float64)
+    terms = ps[2:n_max + 1] * ((k - 1.0) ** -alpha - k ** -alpha)
     out = np.empty(len(grid))
     total = 0.0
     prev = 2
     for gi, gval in enumerate(grid.tolist()):
-        for lo in range(prev, gval + 1, _CHUNK):
-            hi = min(lo + _CHUNK, gval + 1)
-            k = np.arange(lo, hi, dtype=np.float64)
-            total += float(np.sum(ps[lo:hi] * ((k - 1.0) ** -alpha - k ** -alpha)))
+        total += float(np.sum(terms[prev - 2:gval - 1]))
         prev = gval + 1
         out[gi] = ps[gval + 1] * float(gval) ** -alpha - ps[1] + total
     return out
@@ -1040,11 +1084,16 @@ def distribution_experiment(sub: Substitution, f: Observable, n_levels: int,
         word = sampler._word(int(letter), depth)
         if int(word.max()) >= len(w):
             raise ValueError("letter id outside the observable")
-        ps = np.concatenate([[0.0], np.cumsum(w[word])])
+        # prefix sums over the weighted positions h only: adding the
+        # zero weights in between is exact, so every value is the same
+        # as from the dense prefix sum
+        h, v = _occurrences(word, w)
+        q = np.concatenate([[0.0], np.cumsum(v)])
         s = pos[sel]
+        start = q[np.searchsorted(h, s)]
         for i in range(n_levels + 1):
             step = lam ** i
-            values[i, sel] = (ps[s + step] - ps[s]) / rho ** i
+            values[i, sel] = (q[np.searchsorted(h, s + step)] - start) / rho ** i
     quantiles = np.stack([np.quantile(values[i], np.linspace(0.0, 1.0, 21))
                           for i in range(n_levels + 1)])
     ks = np.array([_ks_uniform(values[i]) for i in range(n_levels + 1)])

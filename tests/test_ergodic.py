@@ -1,11 +1,15 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
-                       TransversalSampler, TwoSidedWord, alpha_exponent,
-                       alpha_frequency, birkhoff_prefix_sums, build_graph,
+                       TransversalSampler, TwoSidedWord, admissibility_report,
+                       alpha_exponent, alpha_frequency,
+                       birkhoff_prefix_sums, build_graph,
                        distribution_experiment, expand_grid, iterate,
                        log_frequency, mass_observable, mass_vector,
                        measure_normalization, orbit_generate, ratio_check,
@@ -14,9 +18,10 @@ from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
                        sum_by_parts, suspension_lengths, transverse_weights,
                        window_from_sequence)
 from subtiling import ergodic
+from subtiling.substitution import parse_substitution
 from subtiling.ergodic import _report_grid, _window_labels
 
-from conftest import rng
+from conftest import ADMISSIBLE_1D, rng
 
 
 @pytest.fixture(scope="module")
@@ -355,17 +360,21 @@ def test_log_frequency_constant_word():
     assert np.allclose(lf.partials, harm / np.log(lf.grid), rtol=1e-12)
 
 
-# ---- series against the chunk-recomputing loops ----
+# ---- series against dense oracles ----
 
-def _second_order_oracle(x, w, alpha, c, n_max, grid_density=8):
-    """Partials with k ** (alpha + 1) recomputed in every chunk."""
+_ORACLE_CHUNK = 1 << 21
+
+
+def _second_order_oracle(x, w, alpha, c, n_max, grid_density=8,
+                         chunk=_ORACLE_CHUNK):
+    """Partials over every k, with k ** (alpha + 1) recomputed per chunk."""
     grid = _report_grid(n_max, grid_density)
     letters = np.asarray(x)[:int(grid[-1])].astype(np.int64)
     partials = np.empty(len(grid))
     total, s_run, prev = 0.0, 0.0, 0
     for gi, gval in enumerate(grid.tolist()):
-        for lo in range(prev, gval, ergodic._CHUNK):
-            hi = min(lo + ergodic._CHUNK, gval)
+        for lo in range(prev, gval, chunk):
+            hi = min(lo + chunk, gval)
             s_chunk = s_run + np.cumsum(w[letters[lo:hi]])
             k = np.arange(lo + 1, hi + 1, dtype=np.float64)
             total += float(np.sum(s_chunk / (k ** (alpha + 1.0))))
@@ -375,15 +384,16 @@ def _second_order_oracle(x, w, alpha, c, n_max, grid_density=8):
     return partials
 
 
-def _frequency_oracle(x, letter, alpha, n_max, grid_density=8):
-    """Frequency partials with k ** alpha recomputed in every chunk."""
+def _frequency_oracle(x, letter, alpha, n_max, grid_density=8,
+                      chunk=_ORACLE_CHUNK):
+    """Frequency partials over every k, with k ** alpha recomputed per chunk."""
     grid = _report_grid(n_max, grid_density)
     letters = np.asarray(x)[:int(grid[-1]) + 1].astype(np.int64)
     partials = np.empty(len(grid))
     total, prev = 0.0, 0
     for gi, gval in enumerate(grid.tolist()):
-        for lo in range(prev, gval, ergodic._CHUNK):
-            hi = min(lo + ergodic._CHUNK, gval)
+        for lo in range(prev, gval, chunk):
+            hi = min(lo + chunk, gval)
             k = np.arange(lo + 1, hi + 1, dtype=np.float64)
             hits = letters[lo + 1: hi + 1] == letter
             total += float(np.sum(hits / k ** alpha))
@@ -392,45 +402,182 @@ def _frequency_oracle(x, letter, alpha, n_max, grid_density=8):
     return partials
 
 
+def _second_order_fsum(x, w, alpha, c, n_max, grid_density=8):
+    """Partials from exactly accumulated S_k and math.fsum over k."""
+    grid = _report_grid(n_max, grid_density)
+    s, terms = Fraction(0), []
+    for k, a in enumerate(np.asarray(x)[:int(grid[-1])].tolist(), start=1):
+        s += Fraction(float(w[a]))
+        terms.append(float(s) * k ** -(alpha + 1.0))
+    return np.array([math.fsum(terms[:g]) / (c * math.log(g))
+                     for g in grid.tolist()])
+
+
+def _frequency_fsum(x, letter, alpha, n_max, grid_density=8):
+    grid = _report_grid(n_max, grid_density)
+    letters = np.asarray(x)[:int(grid[-1]) + 1].tolist()
+    return np.array([math.fsum(k ** -alpha for k in range(1, g + 1)
+                               if letters[k] == letter) / math.log(g)
+                     for g in grid.tolist()])
+
+
+def _assert_close(got, ref, absref, rel, what):
+    err = np.abs(got - ref)
+    assert (err <= rel * absref).all(), (what, float(np.max(err / np.maximum(absref, 1e-300))))
+
+
+def _letter_blind(alpha, grid):
+    """(1/log g) sum_{k<=g} k^-alpha: the frequency partial of every letter
+    together, and the scale of the rounding in the complement path, which
+    subtracts the other letters' visits from this sum."""
+    grid = np.asarray(grid)
+    k = np.arange(1, int(grid[-1]) + 1, dtype=np.float64)
+    return np.cumsum(k ** -alpha)[grid - 1] / np.log(grid)
+
+
 SERIES_WEIGHTS = [(0.0, 1.0), (2.0, -3.0), (0.3, 0.1), (1.0 / 3.0, 0.7)]
 
 
-@pytest.mark.parametrize("chunk", [1000, 1 << 21])
-def test_series_match_chunked_oracle(monkeypatch, subs, chunk):
-    monkeypatch.setattr(ergodic, "_CHUNK", chunk)
-    n = 3 ** 9
+def _sampled_orbits(subs, n, count):
     for name, seed in (("cantor", 71), ("cantor1001", 72)):
         sub = subs[name]
-        alpha = alpha_exponent(sub)
         graph = build_graph(sub)
         mass = mass_vector(graph, transverse_weights(sub).xi_tr)
         sam = TransversalSampler(sub, graph, mass, seed)
-        for _ in range(2):
-            x = sam.orbit(n + 1)
-            for wts in SERIES_WEIGHTS:
-                f = Observable(np.array(wts), formal=True)
-                got = second_order_symbolic(x, f, alpha, 0.47, n, grid_density=5)
-                ref = _second_order_oracle(x, f.weights, alpha, 0.47, n, 5)
-                assert np.array_equal(got.partials, ref), (name, wts)
-            for b in (0, 1):
-                got = alpha_frequency(x, b, alpha, n).partials
-                assert np.array_equal(got, _frequency_oracle(x, b, alpha, n))
-                got = log_frequency(x, b, n).partials
-                assert np.array_equal(got, _frequency_oracle(x, b, 1.0, n))
+        for _ in range(count):
+            yield name, alpha_exponent(sub), sam.orbit(n + 1)
 
 
-def test_k_power_table_shared(cantor_orbit, cantor):
+@pytest.mark.parametrize("chunk", [1000, 1 << 21])
+def test_series_match_chunked_oracle(subs, chunk):
+    """Occurrence sums agree with the dense chunk loops to 1e-11 of sum |terms|."""
+    n = 3 ** 9
+    for name, alpha, x in _sampled_orbits(subs, n, 2):
+        for wts in SERIES_WEIGHTS:
+            w = np.array(wts)
+            f = Observable(w, formal=True)
+            got = second_order_symbolic(x, f, alpha, 0.47, n, grid_density=5)
+            ref = _second_order_oracle(x, w, alpha, 0.47, n, 5, chunk)
+            absref = _second_order_oracle(x, np.abs(w), alpha, 0.47, n, 5, chunk)
+            _assert_close(got.partials, ref, absref, 1e-11, (name, wts))
+        for b in (0, 1):
+            got = alpha_frequency(x, b, alpha, n)
+            ref = _frequency_oracle(x, b, alpha, n, chunk=chunk)
+            _assert_close(got.partials, ref, _letter_blind(alpha, got.grid),
+                          1e-11, (name, b))
+            got = log_frequency(x, b, n)
+            ref = _frequency_oracle(x, b, 1.0, n, chunk=chunk)
+            _assert_close(got.partials, ref, _letter_blind(1.0, got.grid),
+                          1e-11, (name, "log", b))
+
+
+def test_series_match_fsum_oracle(subs):
+    n = 3 ** 7
+    for name, alpha, x in _sampled_orbits(subs, n, 1):
+        for wts in SERIES_WEIGHTS:
+            w = np.array(wts)
+            got = second_order_symbolic(x, Observable(w, formal=True), alpha,
+                                        0.47, n).partials
+            ref = _second_order_fsum(x, w, alpha, 0.47, n)
+            absref = _second_order_fsum(x, np.abs(w), alpha, 0.47, n)
+            _assert_close(got, ref, absref, 1e-11, (name, wts))
+        for b in (0, 1):
+            for p, series in ((alpha, lambda: alpha_frequency(x, b, alpha, n)),
+                              (1.0, lambda: log_frequency(x, b, n))):
+                got = series()
+                ref = _frequency_fsum(x, b, p, n)
+                _assert_close(got.partials, ref, _letter_blind(p, got.grid),
+                              1e-11, (name, p, b))
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE_1D)
+def test_mass_observable_series_relative_error(subs, name):
+    """Mass-observable partials stay within 1e-13 relative of both oracles."""
+    sub = subs[name]
+    graph = build_graph(sub)
+    mass = mass_vector(graph, transverse_weights(sub).xi_tr)
+    f = mass_observable(graph, mass, sub.n_letters)
+    alpha = graph.alpha
+    n = 3 ** 8
+    x = TransversalSampler(sub, graph, mass, 83).orbit(n + 1)
+    got = second_order_symbolic(x, f, alpha, 0.5, n).partials
+    assert got[-1] > 0.0
+    for ref in (_second_order_oracle(x, f.weights, alpha, 0.5, n),
+                _second_order_fsum(x, f.weights, alpha, 0.5, n)):
+        _assert_close(got, ref, np.abs(ref), 1e-13, name)
+
+
+def test_frequency_complement_path():
+    """A letter filling most of the orbit is the prefix sum minus the others."""
+    g = rng(5)
+    n = 5000
+    x = g.choice(3, size=n + 1, p=[0.7, 0.2, 0.1]).astype(np.uint8)
+    assert 2 * np.count_nonzero(x[1:] == 0) > n
+    grid = _report_grid(n)
+    for alpha in (0.63, 1.0):
+        got = alpha_frequency(x, 0, alpha, n).partials
+        ref = _frequency_fsum(x, 0, alpha, n)
+        _assert_close(got, ref, _letter_blind(alpha, grid), 1e-12, alpha)
+        others = sum(alpha_frequency(x, b, alpha, n).partials for b in (1, 2))
+        harm = np.array([math.fsum(k ** -alpha for k in range(1, m + 1))
+                         for m in grid.tolist()])
+        assert np.allclose(got + others, harm / np.log(grid),
+                           rtol=1e-12, atol=0.0)
+    full = log_frequency(np.zeros(n + 1, dtype=np.uint8), 0, n).partials
+    ref = _frequency_fsum(np.zeros(n + 1, dtype=np.int64), 0, 1.0, n)
+    _assert_close(full, ref, ref, 1e-12, "constant")
+
+
+def test_series_letter_without_visits(cantor_orbit, cantor):
+    alpha = alpha_exponent(cantor)
+    n = 3 ** 6
+    for b in (2, 7, 300):
+        assert not alpha_frequency(cantor_orbit, b, alpha, n).partials.any()
+        assert not log_frequency(cantor_orbit, b, n).partials.any()
+    f = Observable(np.array([0.0, 0.0, 5.0]), formal=True)
+    assert not second_order_symbolic(cantor_orbit, f, alpha, 1.0, n).partials.any()
+
+
+def test_series_accept_uint8_and_int64_orbits(cantor_orbit, cantor):
+    alpha = alpha_exponent(cantor)
+    n = 3 ** 8
+    x8 = cantor_orbit.slice(0, n + 1)
+    assert x8.dtype == np.uint8
+    x64 = x8.astype(np.int64)
+    f = Observable(np.array([0.3, 1.0]), formal=True)
+    for series in (lambda x: second_order_symbolic(x, f, alpha, 1.0, n),
+                   lambda x: alpha_frequency(x, 1, alpha, n),
+                   lambda x: log_frequency(x, 0, n)):
+        assert np.array_equal(series(x8).partials, series(x64).partials)
+        assert np.array_equal(series(x8).partials, series(cantor_orbit).partials)
+
+
+def test_power_sum_tables_shared(cantor_orbit, cantor):
     alpha = alpha_exponent(cantor)
     n = 3 ** 7
     second_order_symbolic(cantor_orbit, _ind(1), alpha, 1.0, n)
-    tab = ergodic._kpow_cache[(n, alpha + 1.0)]
+    tab = ergodic._table_cache[("tail", n, alpha + 1.0)]
     second_order_symbolic(cantor_orbit, _ind(0), alpha, 2.0, n)
-    assert ergodic._kpow_cache[(n, alpha + 1.0)] is tab
-    assert not tab.flags.writeable and len(tab) == n
+    assert ergodic._table_cache[("tail", n, alpha + 1.0)] is tab
+    assert not tab.flags.writeable and len(tab) == n + 1 and tab[n] == 0.0
+    k = np.arange(1, n + 1, dtype=np.float64)
+    assert tab[0] == pytest.approx(math.fsum(k ** -(alpha + 1.0)), rel=1e-14)
+    assert tab[n - 1] == n ** -(alpha + 1.0)
+    log_frequency(cantor_orbit, 0, n)
+    pre = ergodic._table_cache[("prefix", n, 1.0)]
+    assert pre[0] == 0.0 and pre[n] == pytest.approx(math.fsum(1.0 / k), rel=1e-14)
     alpha_frequency(cantor_orbit, 1, alpha, n)
     log_frequency(cantor_orbit, 1, n)
-    assert len(ergodic._kpow_cache) <= ergodic._KPOW_SLOTS
-    assert ergodic._k_powers(n, 1.0) is ergodic._k_powers(n, 1.0)
+    assert len(ergodic._table_cache) <= ergodic._TABLE_SLOTS
+    assert ergodic._power_sums("prefix", n, 1.0) is pre
+
+
+def test_occurrences_helper():
+    x = np.array([0, 2, 1, 2, 0, 3], dtype=np.uint8)
+    j, v = ergodic._occurrences(x, np.array([0.0, 0.5, -2.0, 0.0]))
+    assert j.tolist() == [1, 2, 3] and v.tolist() == [-2.0, 0.5, -2.0]
+    j, v = ergodic._occurrences(x, np.zeros(4))
+    assert j.size == 0 and v.size == 0
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
@@ -443,6 +590,67 @@ def test_series_reject_nonfinite_c(cantor_orbit, cantor, cantor_ws, c):
     win = window_from_sequence(cantor_orbit, cantor_ws.xi_len, 0, 200)
     with pytest.raises(ValueError, match="c must be finite"):
         second_order_tiling(win, _ind(1), alpha, c, 50.0)
+
+
+@st.composite
+def admissible_substitutions_1d(draw):
+    """Constant-length 1-d rules on one or two expanding letters (images
+    made of expanding letters) and one or two contracting letters (images
+    that start and end with contracting letters).  Draws that are not
+    admissible are discarded by the test."""
+    n_a, n_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    length = draw(st.integers(3, 5))
+    a_letters, b_letters = "ab"[:n_a], "xy"[:n_b]
+    letters = a_letters + b_letters
+
+    def word(alphabet, m):
+        return "".join(draw(st.lists(st.sampled_from(alphabet),
+                                     min_size=m, max_size=m)))
+
+    rules = {a: word(a_letters, length) for a in a_letters}
+    rules.update({b: word(b_letters, 1) + word(letters, length - 2)
+                  + word(b_letters, 1) for b in b_letters})
+    return parse_substitution(json.dumps(
+        {"alphabet": list(letters), "dim": 1, "rules": rules}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=admissible_substitutions_1d(), seed=st.integers(0, 2 ** 16),
+       n=st.integers(50, 3000), data=st.data())
+def test_alpha_frequency_abel_identity(sub, seed, n, data):
+    """Occurrence sums equal the by-parts sum of the dense prefix sums."""
+    assume(admissibility_report(sub).admissible)
+    graph = build_graph(sub)
+    mass = mass_vector(graph, transverse_weights(sub).xi_tr)
+    x = TransversalSampler(sub, graph, mass, seed).orbit(n + 1)
+    b = data.draw(st.integers(0, sub.n_letters - 1))
+    fs = alpha_frequency(x, b, graph.alpha, n)
+    ps = birkhoff_prefix_sums(x, Observable.indicator(b, sub.n_letters), n + 1)
+    ref = sum_by_parts(ps, graph.alpha, fs.grid) / np.log(fs.grid)
+    # the by-parts sum cancels S_1 = f(x(0)) against its other terms
+    absref = _letter_blind(graph.alpha, fs.grid) + 2.0 * float(ps[1]) / np.log(fs.grid)
+    _assert_close(fs.partials, ref, absref, 1e-12, sub.images)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 0.0, -0.5])
+def test_series_reject_bad_alpha(cantor_orbit, cantor_ws, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        second_order_symbolic(cantor_orbit, _ind(1), alpha, 1.0, 100)
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        alpha_frequency(cantor_orbit, 1, alpha, 100)
+    win = window_from_sequence(cantor_orbit, cantor_ws.xi_len, 0, 200)
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        second_order_tiling(win, _ind(1), alpha, 1.0, 50.0)
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        sum_by_parts(np.zeros(102), alpha, [100])
+
+
+def test_frequency_rejects_negative_letter(cantor_orbit, cantor):
+    alpha = alpha_exponent(cantor)
+    with pytest.raises(ValueError, match="nonnegative"):
+        alpha_frequency(cantor_orbit, -1, alpha, 100)
+    with pytest.raises(ValueError, match="nonnegative"):
+        log_frequency(cantor_orbit, -1, 100)
 
 
 # ---- transversal sampling ----
@@ -528,6 +736,35 @@ def test_distribution_csv(cantor):
     lines = tab.csv().splitlines()
     assert lines[0].startswith("level,q0,q5,") and lines[0].endswith(",ks")
     assert len(lines) == 4
+
+
+def _distribution_dense(sub, f, n_levels, samples, rng):
+    """Renormalized sums from the dense prefix sum along each whole word."""
+    rep = admissibility_report(sub)
+    lam = int(round(rep.lam))
+    graph = build_graph(sub)
+    mass = mass_vector(graph, transverse_weights(sub).xi_tr)
+    sampler = TransversalSampler(sub, graph, mass, rng)
+    letters, pos, depth, _ = sampler.addressed_batch(samples, lam ** n_levels + 1)
+    values = np.empty((n_levels + 1, samples))
+    for letter in np.unique(letters).tolist():
+        sel = letters == letter
+        word = sampler._word(int(letter), depth)
+        ps = np.concatenate([[0.0], np.cumsum(f.weights[word])])
+        s = pos[sel]
+        for i in range(n_levels + 1):
+            values[i, sel] = (ps[s + lam ** i] - ps[s]) / rep.rho_B ** i
+    return values
+
+
+@pytest.mark.parametrize("name,levels", [("cantor", 7), ("cantor1001", 6)])
+def test_distribution_matches_dense_prefix(subs, name, levels):
+    sub = subs[name]
+    for wts in ((0.0, 1.0), (0.3, 0.1), (1.0 / 3.0, -0.7)):
+        f = Observable(np.array(wts), formal=True)
+        tab = distribution_experiment(sub, f, levels, 400, rng=13)
+        ref = _distribution_dense(sub, f, levels, 400, 13)
+        assert tab.values.tobytes() == ref.tobytes(), (name, wts)
 
 
 def test_distribution_rejects_2d(carpet):
