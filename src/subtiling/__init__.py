@@ -31,8 +31,7 @@ from .ergodic import (DistributionTable, FrequencySeries, MeasureNormalization,
                       TransversalSampler, TransverseWeights, alpha_frequency,
                       birkhoff_prefix_sums, distribution_experiment,
                       log_frequency, mass_observable, measure_normalization,
-                      ratio_check, sample_transversal_orbit,
-                      second_order_symbolic, second_order_tiling,
+                      ratio_check, second_order_symbolic, second_order_tiling,
                       sum_by_parts, transverse_weights)
 
 __version__ = "0.1.0"

@@ -4,9 +4,19 @@ Every command reads a JSON config (substitution rules, or a bare
 matrix with an external inflation factor for `analyze`), writes its
 data products into --out, and records a manifest naming the command,
 parameters, seed, output files and the sha256 of the config.
-`rerun --manifest` replays a recorded run and reproduces the outputs
-byte for byte; it refuses (exit 2) a config whose sha256 no longer
-matches the recorded one.
+
+One driver, `_run`, does what every command shares: it loads the
+config, refuses a matrix-only config for every command but `analyze`,
+builds the admissible working set `_Ctx`, writes the files and the
+standard output that the command's body returns, and writes the
+manifest.  A body maps (working set, parameters, seed, threads) to
+(files, stdout text, exit code).  A manifest's parameters are the
+command's own options as the parser declares them; only `density`
+takes --threads, and the other manifests record 0.  `rerun --manifest`
+checks a recorded manifest against those options and replays it
+through the same driver, reproducing the outputs byte for byte; it
+refuses (exit 2) a malformed manifest, or a config whose sha256 no
+longer matches the recorded one.
 
 Exit codes: 0 success, 2 invalid or inadmissible input (including a
 word or patch that would exceed the length cap), 3 bracket precision
@@ -71,29 +81,18 @@ def _json_text(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _write_text(out_dir: str, name: str, text: str, outputs: list[str]) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
+def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(text)
-    outputs.append(name)
-    return path
 
 
 def _load_config(path: str):
     """(kind, object): substitution rules or a bare matrix config."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    if "matrix" in doc and "rules" not in doc:
+    if isinstance(doc, dict) and "matrix" in doc and "rules" not in doc:
         return "matrix", load_matrix_config(path)
     return "substitution", load_substitution(path)
-
-
-def _require_substitution(kind: str, obj) -> Substitution:
-    if kind != "substitution":
-        raise ConfigError("this command needs substitution rules, "
-                          "not a matrix-only config")
-    return obj
 
 
 class _Ctx:
@@ -105,13 +104,12 @@ class _Ctx:
             raise ConfigError("substitution is not admissible: "
                               + "; ".join(rep.failures))
         self.sub = sub
-        self.rep = rep
         self.alpha = float(rep.alpha)
         self.graph = build_graph(sub)
-        self.tw = transverse_weights(sub)
-        self.mass = mass_vector(self.graph, self.tw.xi_tr)
+        tw = transverse_weights(sub)
+        self.mass = mass_vector(self.graph, tw.xi_tr)
         self.xi_len = suspension_lengths(sub) if sub.dim == 1 else None
-        self.norm = measure_normalization(sub, self.xi_len, self.tw, self.mass)
+        self.norm = measure_normalization(sub, self.xi_len, tw, self.mass)
         self.sampler = TransversalSampler(sub, self.graph, self.mass, seed)
 
 
@@ -188,19 +186,16 @@ def _manifest(out_dir: str, command: str, config: str, params: dict,
         },
         "wall_clock_s": round(time.time() - t0, 3),
     }
-    name = command.replace("-", "_") + "_manifest.json"
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as f:
-        f.write(_json_text(doc))
-    _diag(f"manifest: {os.path.join(out_dir, name)}")
+    path = os.path.join(out_dir, command.replace("-", "_") + "_manifest.json")
+    _write_text(path, _json_text(doc))
+    _diag(f"manifest: {path}")
 
 
-# ---- command runners (shared by direct invocation and rerun) ----
+# ---- command bodies: (ctx or loaded config, params, seed, threads)
+#      -> ({file name: text}, stdout text, exit code) ----
 
-def run_analyze(config: str, out_dir: str, seed: int, threads: int,
-                params: dict) -> int:
-    t0 = time.time()
-    outputs: list[str] = []
-    kind, obj = _load_config(config)
+def _analyze(loaded, params: dict, seed: int, threads: int):
+    kind, obj = loaded
     if kind == "matrix":
         rep = matrix_report(obj)
         doc = {"schema_version": SCHEMA_VERSION, "kind": "matrix",
@@ -217,23 +212,13 @@ def run_analyze(config: str, out_dir: str, seed: int, threads: int,
             tw = transverse_weights(obj)
             doc["xi_tr"] = tw.xi_tr
             doc["xi_tr_normalization"] = tw.normalization
-    text = _json_text(doc)
-    _write_text(out_dir, "analyze.json", text, outputs)
-    sys.stdout.write(text)
-    _manifest(out_dir, "analyze", config, params, seed, threads, outputs, t0)
     if not rep.admissible:
         _diag("inadmissible: " + "; ".join(rep.failures))
-        return EXIT_INPUT
-    return EXIT_OK
+    text = _json_text(doc)
+    return {"analyze.json": text}, text, EXIT_OK if rep.admissible else EXIT_INPUT
 
 
-def run_density(config: str, out_dir: str, seed: int, threads: int,
-                params: dict) -> int:
-    t0 = time.time()
-    outputs: list[str] = []
-    kind, obj = _load_config(config)
-    sub = _require_substitution(kind, obj)
-    ctx = _Ctx(sub, seed)
+def _density(ctx: _Ctx, params: dict, seed: int, threads: int):
     method = params["method"]
     kw = dict(k=params["k"], replicas=params["replicas"], threads=threads)
     doc: dict = {"schema_version": SCHEMA_VERSION, "alpha": ctx.alpha}
@@ -250,10 +235,7 @@ def run_density(config: str, out_dir: str, seed: int, threads: int,
     else:
         doc["estimate"] = doc[method]
     text = _json_text(doc)
-    _write_text(out_dir, "density.json", text, outputs)
-    sys.stdout.write(text)
-    _manifest(out_dir, "density", config, params, seed, threads, outputs, t0)
-    return EXIT_OK
+    return {"density.json": text}, text, EXIT_OK
 
 
 def _mean_series(build_one, replicas: int):
@@ -265,34 +247,6 @@ def _mean_series(build_one, replicas: int):
     for _ in range(replicas - 1):
         acc += build_one().partials
     return first, acc / replicas
-
-
-def _series_doc(series, mean: np.ndarray, replicas: int, engine: str) -> dict:
-    grid = series.grid
-    lg = np.log(grid.astype(np.float64))
-    m = int(np.argmin(np.abs(lg - (lg[-1] - np.log(10.0)))))
-    windowed = float((mean[-1] * lg[-1] - mean[m] * lg[m]) / (lg[-1] - lg[m])) \
-        if m < len(lg) - 1 else float(mean[-1])
-    sel = lg >= lg[-1] - np.log(10.0) - 1e-12
-    pts = mean[sel]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "engine": engine,
-        "replicas": replicas,
-        "alpha": series.alpha,
-        "target": series.target,
-        "final_partial": float(mean[-1]),
-        "final_decade_partial": windowed,
-    }
-    if getattr(series, "c_used", None) is not None:
-        doc["c_used"] = series.c_used
-    if series.target:
-        doc["relative_error_final"] = float(mean[-1] / series.target - 1.0)
-        doc["relative_error_final_decade"] = windowed / series.target - 1.0
-        if pts.size >= 2:
-            doc["oscillation_last_decade"] = \
-                float((pts.max() - pts.min()) / abs(series.target))
-    return doc
 
 
 def _series_csv_text(series, mean: np.ndarray) -> str:
@@ -309,27 +263,49 @@ def _series_csv_text(series, mean: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summary_line(doc: dict) -> str:
-    parts = [f"final-decade partial {doc['final_decade_partial']!r}"]
-    if doc.get("target") is not None:
-        parts.append(f"target {doc['target']!r}")
-    if "relative_error_final_decade" in doc:
-        parts.append(f"relative error {doc['relative_error_final_decade']!r}")
-    return "  ".join(parts)
+def _series_outputs(stem: str, build_one, replicas: int, engine: str, **extra):
+    """<stem>.csv, <stem>.json and the summary line of a replica-averaged series."""
+    series, mean = _mean_series(build_one, replicas)
+    grid = series.grid
+    lg = np.log(grid.astype(np.float64))
+    m = int(np.argmin(np.abs(lg - (lg[-1] - np.log(10.0)))))
+    windowed = float((mean[-1] * lg[-1] - mean[m] * lg[m]) / (lg[-1] - lg[m])) \
+        if m < len(lg) - 1 else float(mean[-1])
+    sel = lg >= lg[-1] - np.log(10.0) - 1e-12
+    pts = mean[sel]
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "engine": engine,
+        "replicas": replicas,
+        "alpha": series.alpha,
+        "target": series.target,
+        "final_partial": float(mean[-1]),
+        "final_decade_partial": windowed,
+        **extra,
+    }
+    if getattr(series, "c_used", None) is not None:
+        doc["c_used"] = series.c_used
+    summary = [f"final-decade partial {windowed!r}"]
+    if series.target is not None:
+        summary.append(f"target {series.target!r}")
+    if series.target:
+        doc["relative_error_final"] = float(mean[-1] / series.target - 1.0)
+        doc["relative_error_final_decade"] = windowed / series.target - 1.0
+        summary.append(f"relative error {doc['relative_error_final_decade']!r}")
+        if pts.size >= 2:
+            doc["oscillation_last_decade"] = \
+                float((pts.max() - pts.min()) / abs(series.target))
+    files = {stem + ".csv": _series_csv_text(series, mean),
+             stem + ".json": _json_text(doc)}
+    return files, "  ".join(summary) + "\n", EXIT_OK
 
 
-def run_second_order(config: str, out_dir: str, seed: int, threads: int,
-                     params: dict) -> int:
-    t0 = time.time()
-    outputs: list[str] = []
-    kind, obj = _load_config(config)
-    sub = _require_substitution(kind, obj)
-    ctx = _Ctx(sub, seed)
-    f = _parse_observable(params.get("f"), ctx, params.get("formal", False))
+def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
+    sub = ctx.sub
+    f = _parse_observable(params["f"], ctx, params["formal"])
     c, c_source = _parse_c(params["c"], ctx)
-    replicas = params["replicas"]
-    n = params.get("n")
-    R = params.get("R")
+    n = params["n"]
+    R = params["R"]
     if sub.dim == 2 and n is not None:
         raise ConfigError("2-d configs take --R, not --n")
     if n is not None:
@@ -358,7 +334,7 @@ def run_second_order(config: str, out_dir: str, seed: int, threads: int,
         R = float(R)
         engine = "grid"
         q = sub.q
-        level = params.get("level")
+        level = params["level"]
         if level is None:
             level = 1
             while q ** level < 8 * (int(np.ceil(R)) + 2):
@@ -369,204 +345,209 @@ def run_second_order(config: str, out_dir: str, seed: int, threads: int,
             return second_order_tiling(patch, f, ctx.alpha, c, R, norm=ctx.norm,
                                        grid_density=params["grid_density"])
 
-    series, mean = _mean_series(one, replicas)
-    doc = _series_doc(series, mean, replicas, engine)
-    doc["c_source"] = c_source
-    _write_text(out_dir, "second_order.csv", _series_csv_text(series, mean), outputs)
-    _write_text(out_dir, "second_order.json", _json_text(doc), outputs)
-    sys.stdout.write(_summary_line(doc) + "\n")
-    _manifest(out_dir, "second-order", config, params, seed, threads, outputs, t0)
-    return EXIT_OK
+    return _series_outputs("second_order", one, params["replicas"], engine,
+                           c_source=c_source)
 
 
-def run_frequency(config: str, out_dir: str, seed: int, threads: int,
-                  params: dict) -> int:
-    t0 = time.time()
-    outputs: list[str] = []
-    kind, obj = _load_config(config)
-    sub = _require_substitution(kind, obj)
-    ctx = _Ctx(sub, seed)
-    b = _parse_letter(params["b"], sub)
+def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
+    b = _parse_letter(params["b"], ctx.sub)
     c, c_source = _parse_c(params["c"], ctx)
     n = int(params["n"])
-    replicas = params["replicas"]
 
     def one():
         x = ctx.sampler.orbit(n)
         return alpha_frequency(x, b, ctx.alpha, n, c=c, norm=ctx.norm,
                                grid_density=params["grid_density"])
 
-    series, mean = _mean_series(one, replicas)
-    doc = _series_doc(series, mean, replicas, "frequency")
-    doc["letter"] = b
-    doc["c_source"] = c_source
-    _write_text(out_dir, "frequency.csv", _series_csv_text(series, mean), outputs)
-    _write_text(out_dir, "frequency.json", _json_text(doc), outputs)
-    sys.stdout.write(_summary_line(doc) + "\n")
-    _manifest(out_dir, "frequency", config, params, seed, threads, outputs, t0)
-    return EXIT_OK
+    return _series_outputs("frequency", one, params["replicas"], "frequency",
+                           letter=b, c_source=c_source)
 
 
-def run_logfreq(config: str, out_dir: str, seed: int, threads: int,
-                params: dict) -> int:
-    t0 = time.time()
-    outputs: list[str] = []
-    kind, obj = _load_config(config)
-    sub = _require_substitution(kind, obj)
-    ctx = _Ctx(sub, seed)
-    a = _parse_letter(params["a"], sub)
+def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
+    a = _parse_letter(params["a"], ctx.sub)
     n = int(params["n"])
-    replicas = params["replicas"]
 
     def one():
         return log_frequency(ctx.sampler.orbit(n), a, n,
                              grid_density=params["grid_density"])
 
-    series, mean = _mean_series(one, replicas)
-    doc = _series_doc(series, mean, replicas, "logfreq")
-    doc["letter"] = a
-    _write_text(out_dir, "logfreq.csv", _series_csv_text(series, mean), outputs)
-    _write_text(out_dir, "logfreq.json", _json_text(doc), outputs)
-    sys.stdout.write(_summary_line(doc) + "\n")
-    _manifest(out_dir, "logfreq", config, params, seed, threads, outputs, t0)
-    return EXIT_OK
+    return _series_outputs("logfreq", one, params["replicas"], "logfreq", letter=a)
 
 
-def run_distribution(config: str, out_dir: str, seed: int, threads: int,
-                     params: dict) -> int:
-    t0 = time.time()
-    outputs: list[str] = []
-    kind, obj = _load_config(config)
-    sub = _require_substitution(kind, obj)
-    ctx = _Ctx(sub, seed)
-    f = _parse_observable(params.get("f"), ctx, params.get("formal", False))
-    table = distribution_experiment(sub, f, int(params["levels"]),
+def _distribution(ctx: _Ctx, params: dict, seed: int, threads: int):
+    f = _parse_observable(params["f"], ctx, params["formal"])
+    table = distribution_experiment(ctx.sub, f, int(params["levels"]),
                                     int(params["samples"]), rng=seed)
     doc = {"schema_version": SCHEMA_VERSION,
            "levels": table.levels, "ks": table.ks,
            "samples": table.samples, "resampled": table.resampled}
-    _write_text(out_dir, "distribution.csv", table.csv(), outputs)
-    _write_text(out_dir, "distribution.json", _json_text(doc), outputs)
-    sys.stdout.write(_json_text(doc))
-    _manifest(out_dir, "distribution", config, params, seed, threads, outputs, t0)
-    return EXIT_OK
+    text = _json_text(doc)
+    return {"distribution.csv": table.csv(), "distribution.json": text}, text, EXIT_OK
 
 
-_RUNNERS = {
-    "analyze": run_analyze,
-    "density": run_density,
-    "second-order": run_second_order,
-    "frequency": run_frequency,
-    "logfreq": run_logfreq,
-    "distribution": run_distribution,
+_COMMANDS = {
+    "analyze": _analyze,
+    "density": _density,
+    "second-order": _second_order,
+    "frequency": _frequency,
+    "logfreq": _logfreq,
+    "distribution": _distribution,
 }
 
+# the only command that runs replicas on worker threads
+_THREADED = ("density",)
 
-def run_rerun(manifest_path: str, out_dir: Optional[str]) -> int:
+
+def _run(command: str, config: str, out_dir: str, seed: int, threads: int,
+         params: dict) -> int:
+    """Run one command and record its manifest; shared by direct runs and rerun."""
+    t0 = time.time()
+    kind, obj = _load_config(config)
+    if command == "analyze":
+        source = (kind, obj)
+    elif kind != "substitution":
+        raise ConfigError("this command needs substitution rules, "
+                          "not a matrix-only config")
+    else:
+        source = _Ctx(obj, seed)
+    files, stdout, code = _COMMANDS[command](source, params, seed, threads)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in files.items():
+        _write_text(os.path.join(out_dir, name), text)
+    sys.stdout.write(stdout)
+    _manifest(out_dir, command, config, params, seed, threads, list(files), t0)
+    return code
+
+
+def _recordable(option: argparse.Action, value) -> bool:
+    """Whether `value` is one that parsing `option` could have produced."""
+    if option.nargs == 0:  # a flag
+        return isinstance(value, bool)
+    if value is None:
+        return option.default is None and not option.required
+    if isinstance(value, bool):
+        return False
+    if option.choices is not None:
+        return value in option.choices
+    return isinstance(value, {int: int, float: (int, float)}.get(option.type, str))
+
+
+def _rerun(manifest_path: str, out_dir: Optional[str],
+           options: dict[str, list[argparse.Action]]) -> int:
     with open(manifest_path, encoding="utf-8") as f:
         man = json.load(f)
-    command = man["command"]
-    if command not in _RUNNERS:
+    if not isinstance(man, dict):
+        raise ConfigError(f"{manifest_path}: manifest must be a JSON object")
+    for key in ("command", "config", "seed", "parameters"):
+        if key not in man:
+            raise ConfigError(f"{manifest_path}: manifest has no {key!r}")
+    command, config, seed, params = (man["command"], man["config"], man["seed"],
+                                     man["parameters"])
+    if not (isinstance(command, str) and command in _COMMANDS):
         raise ConfigError(f"manifest names unknown command {command!r}")
+    threads = man.get("threads", 0) if command in _THREADED else 0
+    if not isinstance(config, str):
+        raise ConfigError(f"{manifest_path}: manifest config must be a path")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (seed, threads)):
+        raise ConfigError(f"{manifest_path}: manifest seed and threads must be integers")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{manifest_path}: manifest parameters must be an object")
+    expected = {o.dest: o for o in options[command]}
+    for key in params:
+        if key not in expected:
+            raise ConfigError(f"{manifest_path}: {command} has no parameter {key!r}")
+    for key, option in expected.items():
+        if key not in params:
+            raise ConfigError(f"{manifest_path}: {command} parameters lack {key!r}")
+        if not _recordable(option, params[key]):
+            raise ConfigError(f"{manifest_path}: {command} parameter {key!r} "
+                              f"has an invalid value {params[key]!r}")
     recorded = man.get("config_sha256")
-    if recorded is not None and _config_sha256(man["config"]) != recorded:
-        raise ConfigError(f"{man['config']}: config changed since the recorded "
+    if recorded is not None and _config_sha256(config) != recorded:
+        raise ConfigError(f"{config}: config changed since the recorded "
                           "run (sha256 differs)")
     target = out_dir if out_dir is not None else os.path.dirname(
         os.path.abspath(manifest_path))
-    return _RUNNERS[command](man["config"], target, int(man["seed"]),
-                             int(man["threads"]), man["parameters"])
+    return _run(command, config, target, seed, threads, params)
 
 
 # ---- argument parsing ----
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Action]]]:
+    """The parser, and per command the options its manifest records as parameters."""
     ap = argparse.ArgumentParser(
         prog="subtiling",
         description="Substitution tilings: spectral analysis, density "
                     "estimation and second-order ergodic verification.")
     sp = ap.add_subparsers(dest="command", required=True)
+    options: dict[str, list[argparse.Action]] = {}
 
-    def common(p):
+    def command(name, help):
+        p = sp.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="substitution JSON config")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="worker threads for density replicas; 0 or 1 runs "
-                            "serially (default 0); other commands ignore it")
+        if name in _THREADED:
+            p.add_argument("--threads", type=int, default=0,
+                           help="worker threads for the replicas; 0 or 1 runs "
+                                "serially (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
+        recorded = options[name] = []
+        return lambda *flags, **kw: recorded.append(p.add_argument(*flags, **kw))
 
-    p = sp.add_parser("analyze", help="admissibility and spectral report")
-    common(p)
+    command("analyze", "admissibility and spectral report")
 
-    p = sp.add_parser("density", help="average density estimate")
-    common(p)
-    p.add_argument("--method", choices=["pointwise", "birkhoff", "both"],
-                   default="both")
-    p.add_argument("--k", type=int, default=40, help="zoom scales per replica")
-    p.add_argument("--replicas", type=int, default=64)
+    opt = command("density", "average density estimate")
+    opt("--method", choices=["pointwise", "birkhoff", "both"], default="both")
+    opt("--k", type=int, default=40, help="zoom scales per replica")
+    opt("--replicas", type=int, default=64)
 
-    p = sp.add_parser("second-order", help="log-averaged second-order series")
-    common(p)
-    p.add_argument("--n", type=int, help="symbolic prefix length (1-d)")
-    p.add_argument("--R", type=float, help="tiling radius (1-d window or 2-d ball)")
-    p.add_argument("--c", required=True,
-                   help="density: a number or a density.json path")
-    p.add_argument("--f", help="observable letter:weight[,letter:weight...]; "
-                               "default: per-letter mass")
-    p.add_argument("--formal", action="store_true",
-                   help="allow weights on expanding letters in targets")
-    p.add_argument("--replicas", type=int, default=64)
-    p.add_argument("--level", type=int, help="2-d supertile level (default auto)")
-    p.add_argument("--grid-density", type=int, default=8, dest="grid_density")
+    opt = command("second-order", "log-averaged second-order series")
+    opt("--n", type=int, help="symbolic prefix length (1-d)")
+    opt("--R", type=float, help="tiling radius (1-d window or 2-d ball)")
+    opt("--c", required=True, help="density: a number or a density.json path")
+    opt("--f", help="observable letter:weight[,letter:weight...]; "
+                    "default: per-letter mass")
+    opt("--formal", action="store_true",
+        help="allow weights on expanding letters in targets")
+    opt("--replicas", type=int, default=64)
+    opt("--level", type=int, help="2-d supertile level (default auto)")
+    opt("--grid-density", type=int, default=8, dest="grid_density")
 
-    p = sp.add_parser("frequency", help="alpha-dimensional letter frequency")
-    common(p)
-    p.add_argument("--b", required=True, help="contracting letter")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--replicas", type=int, default=64)
-    p.add_argument("--grid-density", type=int, default=8, dest="grid_density")
+    opt = command("frequency", "alpha-dimensional letter frequency")
+    opt("--b", required=True, help="contracting letter")
+    opt("--n", type=int, required=True)
+    opt("--c", required=True)
+    opt("--replicas", type=int, default=64)
+    opt("--grid-density", type=int, default=8, dest="grid_density")
 
-    p = sp.add_parser("logfreq", help="logarithmic letter frequency")
-    common(p)
-    p.add_argument("--a", required=True, help="letter")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--replicas", type=int, default=16)
-    p.add_argument("--grid-density", type=int, default=8, dest="grid_density")
+    opt = command("logfreq", "logarithmic letter frequency")
+    opt("--a", required=True, help="letter")
+    opt("--n", type=int, required=True)
+    opt("--replicas", type=int, default=16)
+    opt("--grid-density", type=int, default=8, dest="grid_density")
 
-    p = sp.add_parser("distribution", help="renormalized-sum distribution table")
-    common(p)
-    p.add_argument("--f", help="observable letter:weight[,...]; default mass")
-    p.add_argument("--formal", action="store_true")
-    p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--samples", type=int, default=10000)
+    opt = command("distribution", "renormalized-sum distribution table")
+    opt("--f", help="observable letter:weight[,...]; default mass")
+    opt("--formal", action="store_true")
+    opt("--levels", type=int, default=8)
+    opt("--samples", type=int, default=10000)
 
     p = sp.add_parser("rerun", help="replay a recorded run byte for byte")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None,
                    help="output directory (default: manifest directory)")
-    return ap
-
-
-_PARAM_KEYS = {
-    "analyze": [],
-    "density": ["method", "k", "replicas"],
-    "second-order": ["n", "R", "c", "f", "formal", "replicas", "level",
-                     "grid_density"],
-    "frequency": ["b", "n", "c", "replicas", "grid_density"],
-    "logfreq": ["a", "n", "replicas", "grid_density"],
-    "distribution": ["f", "formal", "levels", "samples"],
-}
+    return ap, options
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, options = _build_parser()
+    args = parser.parse_args(argv)
     try:
         if args.command == "rerun":
-            return run_rerun(args.manifest, args.out)
-        params = {k: getattr(args, k) for k in _PARAM_KEYS[args.command]}
-        return _RUNNERS[args.command](args.config, args.out, args.seed,
-                                      args.threads, params)
+            return _rerun(args.manifest, args.out, options)
+        params = {o.dest: getattr(args, o.dest) for o in options[args.command]}
+        return _run(args.command, args.config, args.out, args.seed,
+                    getattr(args, "threads", 0), params)
     except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError,
             LengthCapError) as e:
         _diag(f"error: {e}")

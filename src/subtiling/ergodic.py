@@ -57,7 +57,6 @@ __all__ = [
     "log_frequency",
     "sum_by_parts",
     "TransversalSampler",
-    "sample_transversal_orbit",
     "DistributionTable",
     "distribution_experiment",
     "CoverageError",
@@ -923,12 +922,6 @@ class TransversalSampler:
                 return GridPatch(labels, x_lo=-rpad, y_top=rpad + 1,
                                  level=level, q=q)
         raise RuntimeError("patch sampling kept hitting the supertile margin")
-
-
-def sample_transversal_orbit(sub: Substitution, graph: GdifsGraph,
-                             mass: MassVector, n: int, seed) -> np.ndarray:
-    """One transversal-random orbit x(0) .. x(n); see TransversalSampler."""
-    return TransversalSampler(sub, graph, mass, seed).orbit(n)
 
 
 def _prefix_populations(sub: Substitution, graph: GdifsGraph) -> np.ndarray:

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral import admissibility_report, perron_vectors, snap_rational_eigenpair
-from .substitution import Substitution
+from .substitution import Substitution, substitution_matrix
 
 __all__ = [
     "Edge",
@@ -120,9 +120,9 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
     xi_fr = None
     if sub.dim == 1:
         if xi is None:
-            xi = perron_vectors(_substitution_matrix(sub), side="left", normalization="min").vec
+            xi = perron_vectors(substitution_matrix(sub), side="left", normalization="min").vec
         xi = np.asarray(xi, dtype=float)
-        snapped = snap_rational_eigenpair(_substitution_matrix(sub), xi, lam)
+        snapped = snap_rational_eigenpair(substitution_matrix(sub), xi, lam)
         if snapped is not None:
             xi_fr, lam_fr = snapped
             xi = np.array([float(f) for f in xi_fr])
@@ -219,12 +219,6 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
         exact_geometry=exact,
         xi=xi,
     )
-
-
-def _substitution_matrix(sub: Substitution) -> np.ndarray:
-    from .substitution import substitution_matrix
-
-    return substitution_matrix(sub)
 
 
 def dimension(graph: GdifsGraph) -> float:
@@ -366,29 +360,6 @@ class MarkovSampler:
 _MAX_ACTIVE = 2_000_000
 
 
-def _classify(taus, halfs, x, r, side):
-    """Certificate masks (inside, outside) for boxes against a closed ball.
-
-    side "two": Euclidean ball B_r(x).  side "right": interval [x, x+r].
-    `taus` holds the box centres as columns, shape (dim, n), and `halfs`
-    the half-extents shared by all boxes, shape (dim, 1).
-    """
-    if side == "two":
-        diff = np.abs(taus - x[:, None])
-        near = np.maximum(diff - halfs, 0.0)
-        far = diff + halfs
-        near2 = np.einsum("ij,ij->j", near, near)
-        far2 = np.einsum("ij,ij->j", far, far)
-        inside = far2 <= r * r
-        outside = near2 > r * r
-    else:
-        lo = taus[0] - halfs[0]
-        hi = taus[0] + halfs[0]
-        inside = (lo >= x[0]) & (hi <= x[0] + r)
-        outside = (hi < x[0]) | (lo > x[0] + r)
-    return inside, outside
-
-
 # Pieces are kept grouped by vertex, one (dim, n) array of centres each:
 # the pieces of one vertex at one level share their half-extent and their
 # mass, so nothing is gathered per piece, and every array operation runs
@@ -418,36 +389,6 @@ def _split(graph, groups, scale_next):
     return joined
 
 
-def _bracket_core(graph, mass, vids, taus, x, r, side, depth, rel_tol=0.0):
-    """Shared BFS over path cylinders; returns (lower, upper) mass."""
-    groups = _group(graph, vids, taus)
-    lo_acc = 0.0
-    rho = graph.rho_B
-    for level in range(depth + 1):
-        active = sum(t.shape[1] for t in groups)
-        if active == 0:
-            return lo_acc, lo_acc
-        if active > _MAX_ACTIVE:
-            raise BracketPrecisionError(
-                f"bracket query exceeded {_MAX_ACTIVE} active cylinders at depth {level}"
-            )
-        scale = graph.lam ** (-level)
-        undecided = 0.0
-        for v, t in enumerate(groups):
-            inside, outside = _classify(t, scale * graph.sup_half[v][:, None], x, r, side)
-            keep = ~(inside | outside)
-            m = mass.h[v] * rho ** (-level)
-            lo_acc += m * np.count_nonzero(inside)
-            undecided += m * np.count_nonzero(keep)
-            groups[v] = np.compress(keep, t, axis=1)
-        if undecided == 0.0:
-            return lo_acc, lo_acc
-        if undecided <= rel_tol * (lo_acc + undecided) or level == depth:
-            return lo_acc, lo_acc + undecided
-        groups = _split(graph, groups, graph.lam ** (-(level + 1)))
-    return lo_acc, lo_acc  # unreachable
-
-
 def ball_measure_bracket(
     graph: GdifsGraph,
     mass: MassVector,
@@ -456,26 +397,29 @@ def ball_measure_bracket(
     r: float,
     depth: int = 30,
     side: str = "two",
-    rel_tol: float = 0.0,
 ) -> tuple[float, float]:
     """Rigorous two-sided bracket for the vertex measure of a closed ball.
 
+    side "two": Euclidean ball B_r(x).  side "right": interval [x, x+r].
     The lower bound sums cylinders certified inside, the upper bound adds
     all cylinders still undecided at the stopping level.  Masses are in
     the h scale of `mass` (divide by c0 for the probability version).
+    This is the one-radius case of `_measures_multiradius`, with the
+    vertex's attractor placed at -x so that the ball is centred at 0.
     """
     if side not in ("two", "right"):
         raise ValueError("side must be 'two' or 'right'")
     if side == "right" and graph.dim != 1:
         raise ValueError("one-sided intervals need a one-dimensional graph")
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (graph.dim,):
         raise ValueError(f"query point must have shape ({graph.dim},)")
-    vids = np.array([vertex], dtype=np.int64)
-    taus = np.zeros((1, graph.dim))
-    return _bracket_core(graph, mass, vids, taus, x, r, side, depth, rel_tol)
+    lower, upper = _measures_multiradius(
+        graph, mass, np.array([vertex], dtype=np.int64), -x[None, :],
+        np.array([float(r)]), side, depth)
+    return float(lower[0]), float(upper[0])
 
 
 # ---------------------------------------------------------------------------
@@ -614,19 +558,21 @@ def _default_depth(graph: GdifsGraph) -> int:
 def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
     """Measure brackets of the balls around 0 of every radius, in one refinement.
 
-    `radii` must be ascending.  A cylinder is inside the ball of radius r
-    once its far distance is <= r and outside once its near distance is
-    > r, the tests of `_classify`; distances are compared squared for
-    side "two".  A cylinder is split only while some radius falls in its
-    band [near, far).  Decided cylinders are counted by the index of the
-    smallest radius whose ball holds them, and one cumulative sum turns
-    the counts into per-radius masses.  Returns (lower, upper) arrays: the
-    mass certified inside each ball, and that plus the mass still
-    undecided at `depth`.  Per radius they equal `_bracket_core` to the
-    same depth, unless a distance ties a radius to within rounding: a
-    cylinder decided for that radius but split for another is classified
-    again through its children, which can stay undecided, so the bracket
-    can come out wider.
+    `radii` must be ascending; side "right" balls are the intervals
+    [0, r].  A cylinder is inside the ball of radius r once its far
+    distance is <= r and outside once its near distance is > r;
+    distances are compared squared for side "two".  A cylinder is split
+    only while some radius falls in its band [near, far).  Decided
+    cylinders are counted by the index of the smallest radius whose ball
+    holds them, and one cumulative sum turns the counts into per-radius
+    masses.  Returns (lower, upper) arrays: the mass certified inside
+    each ball, and that plus the mass still undecided at `depth`.  With
+    one radius this is `ball_measure_bracket`.  With several, each
+    radius gets the one-radius bracket to the same depth, unless a
+    distance ties a radius to within rounding: a cylinder decided for
+    that radius but split for another is classified again through its
+    children, which can stay undecided, so the bracket can come out
+    wider.
     """
     n_r = len(radii)
     thresholds = radii * radii if side == "two" else np.asarray(radii, dtype=float)
@@ -641,7 +587,7 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
             break
         if active > _MAX_ACTIVE:
             raise BracketPrecisionError(
-                f"multiradius query exceeded {_MAX_ACTIVE} active cylinders"
+                f"bracket query exceeded {_MAX_ACTIVE} active cylinders at depth {level}"
             )
         for v, t in enumerate(groups):
             if t.shape[1] == 0:

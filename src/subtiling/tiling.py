@@ -209,15 +209,13 @@ def prefix_radius(x: TwoSidedWord, xi: Union[LengthVector, np.ndarray], k: int) 
     return float(xi_arr[w[1:]].sum() + xi_arr[w[0]] / 2.0)
 
 
-def _b_mask(letters: np.ndarray, b_letters: Iterable[int]) -> np.ndarray:
+def _counts_up_to(win: Tiling1DWindow, t: np.ndarray,
+                  b_letters: Iterable[int]) -> np.ndarray:
+    """B-labeled tiles with support inside [0, t], for every scale in t."""
     b_arr = np.asarray(sorted(set(int(b) for b in b_letters)), dtype=np.int64)
     if b_arr.size == 0:
         raise ValueError("b_letters must be nonempty")
-    return np.isin(letters.astype(np.int64), b_arr)
-
-
-def _counts_up_to(win: Tiling1DWindow, t: np.ndarray, pref: np.ndarray) -> np.ndarray:
-    """Tiles with support inside [0, t], counted through the prefix table."""
+    pref = np.concatenate([[0], np.cumsum(np.isin(win.letters.astype(np.int64), b_arr))])
     n = len(win.letters)
     p0 = -win.lo
     # largest boundary index with boundaries[idx] <= t; tile p qualifies iff p+1 <= idx
@@ -234,8 +232,7 @@ def count_B_tiles_1d(win: Tiling1DWindow, t: float, b_letters: Iterable[int]) ->
     if win.boundaries[-1] < t:
         raise CoverageError(
             f"window covers [0, {win.boundaries[-1]:g}] but t={t:g} was requested")
-    pref = np.concatenate([[0], np.cumsum(_b_mask(win.letters, b_letters))])
-    return int(_counts_up_to(win, np.asarray([t], dtype=np.float64), pref)[0])
+    return int(_counts_up_to(win, np.asarray([t], dtype=np.float64), b_letters)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,8 +267,7 @@ def btile_growth_scan(win: Tiling1DWindow, alpha: float,
     if win.boundaries[-1] < t[-1]:
         raise CoverageError(
             f"window covers [0, {win.boundaries[-1]:g}] but t={t[-1]:g} was requested")
-    pref = np.concatenate([[0], np.cumsum(_b_mask(win.letters, b_letters))])
-    counts = _counts_up_to(win, t, pref).astype(np.int64)
+    counts = _counts_up_to(win, t, b_letters).astype(np.int64)
     ratios = counts / t ** alpha
     return GrowthScan(t, counts, ratios, np.maximum.accumulate(ratios), float(alpha))
 

@@ -289,3 +289,137 @@ def test_rerun_without_recorded_hash(tmp_path):
     assert run("rerun", "--manifest", path, "--out", again) == 0
     for name in man["outputs"]:
         assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+# ---- the driver: shared checks, --threads, malformed inputs ----
+
+MIN_ARGS = {
+    "analyze": (),
+    "density": ("--k", 2, "--replicas", 1),
+    "second-order": ("--n", 3 ** 5, "--c", 0.5),
+    "frequency": ("--b", 1, "--n", 3 ** 5, "--c", 0.48),
+    "logfreq": ("--a", 0, "--n", 3 ** 5),
+    "distribution": ("--levels", 3, "--samples", 200),
+}
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"x"', '"matrix"'])
+@pytest.mark.parametrize("command", sorted(MIN_ARGS))
+def test_non_object_config(tmp_path, capsys, command, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, *MIN_ARGS[command], "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", sorted(set(MIN_ARGS) - {"density"}))
+def test_threads_only_on_density(tmp_path, command):
+    with pytest.raises(SystemExit) as e:
+        run(command, "--config", fixture_path("cantor"), *MIN_ARGS[command],
+            "--threads", 2, "--out", tmp_path)
+    assert e.value.code == 2
+
+
+def test_density_threads_match_serial(tmp_path):
+    serial, threaded, again = tmp_path / "serial", tmp_path / "threaded", tmp_path / "again"
+    args = ("density", "--config", fixture_path("cantor"), "--seed", 8,
+            "--k", 4, "--replicas", 4)
+    assert run(*args, "--out", serial) == 0
+    assert run(*args, "--threads", 2, "--out", threaded) == 0
+    assert (serial / "density.json").read_bytes() == (threaded / "density.json").read_bytes()
+    manifest = threaded / "density_manifest.json"
+    assert read_json(manifest)["threads"] == 2
+    assert run("rerun", "--manifest", manifest, "--out", again) == 0
+    assert read_json(again / "density_manifest.json")["threads"] == 2
+    assert (serial / "density.json").read_bytes() == (again / "density.json").read_bytes()
+
+
+def test_manifest_parameters_are_the_command_options(tmp_path):
+    for command, args in MIN_ARGS.items():
+        out = tmp_path / command
+        assert run(command, "--config", fixture_path("cantor"), *args, "--out", out) == 0
+        man = read_json(out / (command.replace("-", "_") + "_manifest.json"))
+        assert man["threads"] == 0
+        assert not {"command", "config", "seed", "threads", "out"} & set(man["parameters"])
+    assert read_json(tmp_path / "analyze" / "analyze_manifest.json")["parameters"] == {}
+    assert set(read_json(tmp_path / "frequency" / "frequency_manifest.json")["parameters"]) \
+        == {"b", "n", "c", "replicas", "grid_density"}
+
+
+def test_rerun_ignores_recorded_threads_of_serial_commands(tmp_path):
+    # manifests written when every command took --threads record it for all
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("frequency", "--config", fixture_path("cantor"), "--b", 1,
+               "--n", 3 ** 5, "--c", 0.48, "--seed", 4, "--replicas", 2,
+               "--out", first) == 0
+    path = first / "frequency_manifest.json"
+    man = read_json(path)
+    man["threads"] = 3
+    path.write_text(json.dumps(man))
+    assert run("rerun", "--manifest", path, "--out", again) == 0
+    assert read_json(again / "frequency_manifest.json")["threads"] == 0
+    for name in man["outputs"]:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
+def _drop(key):
+    return lambda man: {k: v for k, v in man.items() if k != key}
+
+
+def _with(**fields):
+    return lambda man: man | fields
+
+
+def _with_params(**params):
+    return lambda man: man | {"parameters": man["parameters"] | params}
+
+
+BAD_MANIFESTS = {
+    "list": lambda man: [],
+    "no_config": _drop("config"),
+    "no_command": _drop("command"),
+    "no_seed": _drop("seed"),
+    "no_parameters": _drop("parameters"),
+    "unknown_command": _with(command="transmogrify"),
+    "list_command": _with(command=["frequency"]),
+    "null_config": _with(config=None),
+    "null_seed": _with(seed=None),
+    "text_seed": _with(seed="4"),
+    "list_parameters": _with(parameters=[1, 49]),
+    "parameters_without_b": lambda man: man | {"parameters": _drop("b")(man["parameters"])},
+    "unknown_parameter": _with_params(threads=2),
+    "text_n": _with_params(n="243"),
+    "null_replicas": _with_params(replicas=None),
+    "bool_replicas": _with_params(replicas=True),
+    "null_b": _with_params(b=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+def test_rerun_rejects_malformed_manifest(tmp_path, capsys, case):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("frequency", "--config", fixture_path("cantor"), "--b", 1,
+               "--n", 3 ** 5, "--c", 0.48, "--replicas", 2, "--out", first) == 0
+    path = first / "frequency_manifest.json"
+    path.write_text(json.dumps(BAD_MANIFESTS[case](read_json(path))))
+    capsys.readouterr()
+    assert run("rerun", "--manifest", path, "--out", again) == 2
+    assert not again.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_rerun_rejects_bad_density_method(tmp_path, capsys):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("density", "--config", fixture_path("cantor"), "--k", 2,
+               "--replicas", 1, "--out", first) == 0
+    path = first / "density_manifest.json"
+    path.write_text(json.dumps(_with_params(method="mean")(read_json(path))))
+    capsys.readouterr()
+    assert run("rerun", "--manifest", path, "--out", again) == 2
+    assert not again.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'method'" in err[0]

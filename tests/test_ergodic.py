@@ -13,7 +13,6 @@ from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
                        distribution_experiment, expand_grid, iterate,
                        log_frequency, mass_observable, mass_vector,
                        measure_normalization, orbit_generate, ratio_check,
-                       sample_transversal_orbit,
                        second_order_symbolic, second_order_tiling,
                        sum_by_parts, suspension_lengths, transverse_weights,
                        window_from_sequence)
@@ -656,8 +655,8 @@ def test_frequency_rejects_negative_letter(cantor_orbit, cantor):
 # ---- transversal sampling ----
 
 def test_transversal_orbit_deterministic(cantor, cantor_ws):
-    a = sample_transversal_orbit(cantor, cantor_ws.graph, cantor_ws.mass, 500, 21)
-    b = sample_transversal_orbit(cantor, cantor_ws.graph, cantor_ws.mass, 500, 21)
+    a = TransversalSampler(cantor, cantor_ws.graph, cantor_ws.mass, 21).orbit(500)
+    b = TransversalSampler(cantor, cantor_ws.graph, cantor_ws.mass, 21).orbit(500)
     assert np.array_equal(a, b) and len(a) == 501
 
 
@@ -671,7 +670,7 @@ def test_transversal_orbit_starts_on_b(cantor, cantor_ws):
 
 def test_transversal_orbit_is_in_language(cantor, cantor_ws):
     from subtiling import in_language
-    x = sample_transversal_orbit(cantor, cantor_ws.graph, cantor_ws.mass, 200, 9)
+    x = TransversalSampler(cantor, cantor_ws.graph, cantor_ws.mass, 9).orbit(200)
     ok, _ = in_language(cantor, x)
     assert ok
 

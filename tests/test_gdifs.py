@@ -11,8 +11,8 @@ from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
                        ball_measure_bracket, build_graph, cylinder_measure,
                        load_substitution, mass_vector, natural_projection)
 from subtiling import gdifs
-from subtiling.gdifs import (_bracket_core, _default_depth, _measures_multiradius,
-                             _norm_factor, dimension)
+from subtiling.gdifs import (_default_depth, _group, _measures_multiradius,
+                             _norm_factor, _split, dimension)
 
 from conftest import Workset, rng
 
@@ -27,6 +27,58 @@ def two_vertex_ws(tmp_path_factory):
     path = tmp_path_factory.mktemp("config") / "two_vertex.json"
     path.write_text(json.dumps(TWO_VERTEX))
     return Workset(load_substitution(str(path)))
+
+
+# ---- per-radius oracle: one ball, cylinders classified level by level ----
+
+def _classify(taus, halfs, x, r, side):
+    """Certificate masks (inside, outside) for boxes against a closed ball.
+
+    side "two": Euclidean ball B_r(x).  side "right": interval [x, x+r].
+    `taus` holds the box centres as columns, shape (dim, n), and `halfs`
+    the half-extents shared by all boxes, shape (dim, 1).
+    """
+    if side == "two":
+        diff = np.abs(taus - x[:, None])
+        near = np.maximum(diff - halfs, 0.0)
+        far = diff + halfs
+        near2 = np.einsum("ij,ij->j", near, near)
+        far2 = np.einsum("ij,ij->j", far, far)
+        inside = far2 <= r * r
+        outside = near2 > r * r
+    else:
+        lo = taus[0] - halfs[0]
+        hi = taus[0] + halfs[0]
+        inside = (lo >= x[0]) & (hi <= x[0] + r)
+        outside = (hi < x[0]) | (lo > x[0] + r)
+    return inside, outside
+
+
+def _bracket_core(graph, mass, vids, taus, x, r, side, depth):
+    """BFS over path cylinders for one ball around x; returns (lower, upper) mass."""
+    groups = _group(graph, vids, taus)
+    lo_acc = 0.0
+    rho = graph.rho_B
+    for level in range(depth + 1):
+        active = sum(t.shape[1] for t in groups)
+        if active == 0:
+            return lo_acc, lo_acc
+        if active > gdifs._MAX_ACTIVE:
+            raise BracketPrecisionError(f"bracket query exceeded {gdifs._MAX_ACTIVE} "
+                                        f"active cylinders at depth {level}")
+        scale = graph.lam ** (-level)
+        undecided = 0.0
+        for v, t in enumerate(groups):
+            inside, outside = _classify(t, scale * graph.sup_half[v][:, None], x, r, side)
+            keep = ~(inside | outside)
+            m = mass.h[v] * rho ** (-level)
+            lo_acc += m * np.count_nonzero(inside)
+            undecided += m * np.count_nonzero(keep)
+            groups[v] = np.compress(keep, t, axis=1)
+        if undecided == 0.0 or level == depth:
+            return lo_acc, lo_acc + undecided
+        groups = _split(graph, groups, graph.lam ** (-(level + 1)))
+    return lo_acc, lo_acc
 
 
 # ---- graph construction ----
@@ -200,6 +252,58 @@ def test_bracket_one_sided(cantor_ws):
     lo, hi = ball_measure_bracket(cantor_ws.graph, cantor_ws.mass, 0, -0.5,
                                   1.5 / 27.0, depth=6, side="right")
     assert lo == pytest.approx(0.125, rel=1e-12) and hi == pytest.approx(0.125, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, x, r, side, message", [
+    ("cantor", 0.0, 1.0, "left", "side must be"),
+    ("carpet", [0.0, 0.0], 1.0, "right", "one-dimensional"),
+    ("cantor", 0.0, -1.0, "two", "nonnegative"),
+    ("cantor", 0.0, float("nan"), "two", "nonnegative"),
+    ("carpet", 0.0, 1.0, "two", "shape")])
+def test_bracket_rejects_bad_query(name, x, r, side, message, request):
+    ws = request.getfixturevalue(name + "_ws")
+    with pytest.raises(ValueError, match=message):
+        ball_measure_bracket(ws.graph, ws.mass, 0, x, r, depth=4, side=side)
+
+
+BRACKET_CASES = [("cantor", "right", 12), ("cantor", "two", 12),
+                 ("cantor1001", "right", 12), ("cantor1001", "two", 12),
+                 ("carpet", "two", 5), ("two_vertex", "right", 10)]
+
+
+@pytest.mark.parametrize("name, side, depth", BRACKET_CASES)
+def test_bracket_matches_per_radius_oracle(name, side, depth, request):
+    ws = request.getfixturevalue(name + "_ws")
+    g = rng(47)
+    dim, span = ws.graph.dim, float(ws.graph.sup_half.max())
+    root = np.zeros((1, dim))
+    for v in range(ws.graph.n_vertices):
+        for _ in range(60):
+            x = g.uniform(-1.5 * span, 1.5 * span, size=dim)
+            r = float(np.exp(g.uniform(np.log(1e-4), np.log(3.0))))
+            lo, hi = ball_measure_bracket(ws.graph, ws.mass, v, x, r, depth=depth,
+                                          side=side)
+            want = _bracket_core(ws.graph, ws.mass, [v], root, x, r, side, depth)
+            assert lo == pytest.approx(want[0], rel=1e-12, abs=0.0)
+            assert hi == pytest.approx(want[1], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name, side, depth", BRACKET_CASES)
+def test_bracket_overlaps_oracle_at_ties(name, side, depth, request):
+    # points and radii on the cylinder grid: distances equal radii exactly,
+    # where the kernel's offsets -x + u may round apart from the oracle's u - x
+    ws = request.getfixturevalue(name + "_ws")
+    dim, span, lam = ws.graph.dim, float(ws.graph.sup_half.max()), ws.graph.lam
+    root = np.zeros((1, dim))
+    step = 2.0 * span * lam ** -3
+    for i in range(-2, round(2.0 * span / step) + 3):
+        x = np.full(dim, -span + i * step)
+        for m in range(1, 9):
+            for r in (1.5 * lam ** -m, 2.0 * span * lam ** -m):
+                lo, hi = ball_measure_bracket(ws.graph, ws.mass, 0, x, r,
+                                              depth=depth, side=side)
+                want = _bracket_core(ws.graph, ws.mass, [0], root, x, r, side, depth)
+                assert max(lo, want[0]) <= min(hi, want[1]) * (1 + 1e-12), (x, r)
 
 
 # ---- density estimators ----
