@@ -19,9 +19,10 @@ refuses (exit 2) a malformed manifest, or a config whose sha256 no
 longer matches the recorded one.
 
 Exit codes: 0 success, 2 invalid or inadmissible input (including a
-word or patch that would exceed the length cap), 3 bracket precision
-unattainable, 4 coverage shortfall.  Data goes to files and
-standard output; diagnostics go to standard error.
+word or patch that would exceed the length cap, and a config, manifest
+or output path that the operating system cannot read or write), 3
+bracket precision unattainable, 4 coverage shortfall.  Data goes to
+files and standard output; diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -548,8 +549,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         params = {o.dest: getattr(args, o.dest) for o in options[args.command]}
         return _run(args.command, args.config, args.out, args.seed,
                     getattr(args, "threads", 0), params)
-    except (ConfigError, ValueError, FileNotFoundError, json.JSONDecodeError,
-            LengthCapError) as e:
+    except (ConfigError, ValueError, OSError, LengthCapError) as e:
         _diag(f"error: {e}")
         return EXIT_INPUT
     except BracketPrecisionError as e:

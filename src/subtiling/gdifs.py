@@ -358,6 +358,11 @@ class MarkovSampler:
 # ball-measure brackets
 
 _MAX_ACTIVE = 2_000_000
+# Children are counted from their parents (`_count_children`) in groups of
+# at least this many parents.  A counting call has a fixed cost of about
+# 0.3 ms, which outweighs the build and search it saves below 500 to 1000
+# carpet parents, so the children of smaller groups are built and searched.
+_COUNT_MIN = 1024
 
 
 # Pieces are kept grouped by vertex, one (dim, n) array of centres each:
@@ -555,6 +560,103 @@ def _default_depth(graph: GdifsGraph) -> int:
     return min(26, math.floor(44 / math.log2(graph.lam)))
 
 
+def _axis_keys(c, h):
+    """Squared near and far distances from 0 along one axis of the intervals c +- h."""
+    near = np.abs(c)
+    far = near + h
+    near -= h
+    np.maximum(near, 0.0, out=near)
+    near *= near
+    far *= far
+    return near, far
+
+
+def _keys(cols, half, side, axis_keys=_axis_keys):
+    """(key_out, key_in) of boxes with per-axis centres `cols` and half-extents `half`.
+
+    A box is outside the ball of threshold T iff T < key_out and inside
+    iff key_in <= T; thresholds are squared radii for side "two", whose
+    keys add the `axis_keys` terms in axis order.
+    """
+    if side == "two":
+        terms = [axis_keys(c, h) for c, h in zip(cols, half)]
+        key_out, key_in = terms[0]
+        for near, far in terms[1:]:
+            key_out = key_out + near
+            key_in = key_in + far
+        return key_out, key_in
+    key_out = cols[0] - half[0]
+    key_in = cols[0] + half[0]
+    past = key_in < 0
+    key_in[key_out < 0] = np.inf
+    key_out[past] = np.inf
+    return key_out, key_in
+
+
+def _count_children(graph, v, t, lo, thresholds, below, above, side, level, counts, kept):
+    """Classify the children of the undecided pieces `t` of vertex v at `level`.
+
+    Each parent carries `lo`, the index of the largest threshold in its
+    band.  A child whose keys lie in (T[lo - 1], T[lo + 1]] is decided by
+    T[lo] alone: inside (bin lo), outside that ball (bin lo + 1), or
+    still undecided between the two, with the same `lo`.  Decided
+    children are only counted, into counts[w] = (decided, lower, upper),
+    the per-bin child counts of vertex w.  Undecided children are built
+    into kept[w] as (centres, lo), or, at the last level (`kept` None),
+    counted into lower and upper.  A parent with any child outside its
+    window is returned in a mask: the caller builds its children and
+    searches their thresholds.  Child centres and keys take the float
+    steps of `_split` and `_keys`, so every count equals that of the
+    built child.
+    """
+    scale = graph.lam ** (-level)
+    T, floor, ceil = thresholds[lo], below[lo], above[lo + 1]
+    least_out = np.full(len(lo), np.inf)  # smallest key_out of each parent's children
+    most_in = np.full(len(lo), -np.inf)  # largest key_in
+    terms = {}  # siblings share axis terms: the carpet's 8 children have 3 shifts per axis
+
+    def axis_keys(col, h):
+        a, shift = col
+        if (a, shift, h) not in terms:
+            terms[a, shift, h] = _axis_keys(t[a] + shift, h)
+        return terms[a, shift, h]
+
+    tallies, undecided = [], []
+    for w, ids in graph.fan[v]:
+        half = scale * graph.sup_half[w]
+        n_in = np.zeros(len(lo), dtype=np.min_scalar_type(len(ids)))
+        n_out = np.zeros(len(lo), dtype=n_in.dtype)
+        for shift in scale * graph.edge_u[ids]:
+            if side == "two":
+                key_out, key_in = _keys(enumerate(shift), half, side, axis_keys)
+            else:
+                key_out, key_in = _keys([t[0] + shift[0]], half, side)
+            np.minimum(least_out, key_out, out=least_out)
+            np.maximum(most_in, key_in, out=most_in)
+            inside = key_in <= T
+            outside = key_out > T
+            n_in += inside
+            n_out += outside
+            if kept is not None:
+                undecided.append((w, shift, ~(inside | outside)))
+        tallies.append((w, len(ids), n_in, n_out))
+    fits = (least_out > floor) & (most_in <= ceil)
+    lo_fit = lo[fits]
+    n_bins = len(below)
+    for w, fan_size, n_in, n_out in tallies:
+        n_in, n_out = n_in[fits], n_out[fits]
+        decided, lower, upper = counts[w]
+        decided += np.bincount(lo_fit, n_in, n_bins) + np.bincount(lo_fit + 1, n_out, n_bins)
+        if kept is None:
+            rest = fan_size - n_in - n_out
+            lower += np.bincount(lo_fit + 1, rest, n_bins)
+            upper += np.bincount(lo_fit, rest, n_bins)
+    for w, shift, mask in undecided:
+        mask &= fits
+        kept[w].append((t[:, mask] + shift[:, None], lo[mask]))
+    return ~fits
+
+
 def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
     """Measure brackets of the balls around 0 of every radius, in one refinement.
 
@@ -573,56 +675,83 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
     that radius but split for another is classified again through its
     children, which can stay undecided, so the bracket can come out
     wider.
+
+    Below the root level, a vertex's children are mostly counted from
+    their parents by `_count_children`, against the one threshold of
+    the parent's band: decided children are never built, undecided ones
+    are built with that threshold's index, and only the children of
+    parents whose band the children leave, or of groups smaller than
+    `_COUNT_MIN`, are built by `_split` and searched.  The active-set
+    budget counts every child either way.
     """
     n_r = len(radii)
     thresholds = radii * radii if side == "two" else np.asarray(radii, dtype=float)
     below = np.concatenate([[-np.inf], thresholds])  # below[i]: largest threshold under index i
-    groups = _group(graph, vids, taus)
+    above = np.concatenate([thresholds, [np.inf]])   # above[i]: smallest threshold from index i
+    n_v = graph.n_vertices
     rho = graph.rho_B
     lower_bins = np.zeros(n_r + 1)  # bin n_r: outside every ball
     upper_bins = np.zeros(n_r + 1)
+    parents = None  # per vertex (centres, lo): the undecided pieces one level up
     for level in range(depth + 1):
-        active = sum(t.shape[1] for t in groups)
+        if parents is None:
+            active = len(vids)
+        else:
+            active = sum(len(lo) * len(graph.out_edges[v]) for v, (_, lo) in enumerate(parents))
         if active == 0:
             break
         if active > _MAX_ACTIVE:
             raise BracketPrecisionError(
                 f"bracket query exceeded {_MAX_ACTIVE} active cylinders at depth {level}"
             )
-        for v, t in enumerate(groups):
-            if t.shape[1] == 0:
-                continue
-            half = graph.lam ** (-level) * graph.sup_half[v][:, None]
-            if side == "two":
-                near = np.abs(t)
-                far = near + half
-                near -= half
-                np.maximum(near, 0.0, out=near)
-                key_out = np.einsum("ij,ij->j", near, near)
-                key_in = np.einsum("ij,ij->j", far, far)
-            else:
-                lo = t[0] - half[0]
-                hi = t[0] + half[0]
-                key_out = np.where(hi < 0, np.inf, lo)
-                key_in = np.where(lo >= 0, hi, np.inf)
-            # inside for radius i iff thresholds[i] >= key_in; outside iff < key_out
-            m = mass.h[v] * rho ** (-level)
-            in_idx = np.searchsorted(thresholds, key_in)
-            banded = below[in_idx] < key_out
-            decided = m * np.bincount(in_idx[banded], minlength=n_r + 1)
-            lower_bins += decided
-            upper_bins += decided
-            rest = ~banded
-            if level == depth:
-                out_idx = np.searchsorted(thresholds, key_out[rest])
-                lower_bins += m * np.bincount(in_idx[rest], minlength=n_r + 1)
-                upper_bins += m * np.bincount(out_idx, minlength=n_r + 1)
-            else:
-                groups[v] = np.compress(rest, t, axis=1)
-        if level == depth:
-            break
-        groups = _split(graph, groups, graph.lam ** (-(level + 1)))
+        last = level == depth
+        counts = [tuple(np.zeros(n_r + 1) for _ in range(3)) for _ in range(n_v)]
+        kept = [[] for _ in range(n_v)]
+        if parents is None:
+            groups = _group(graph, vids, taus)
+        else:
+            split = []
+            for v, (t, lo) in enumerate(parents):
+                if len(lo) >= _COUNT_MIN:
+                    fallback = _count_children(graph, v, t, lo, thresholds, below, above,
+                                               side, level, counts, None if last else kept)
+                    t = np.compress(fallback, t, axis=1)
+                split.append(t)
+            groups = _split(graph, split, graph.lam ** (-level))
+        for w, t in enumerate(groups):
+            dec, lower, upper = counts[w]
+            if t.shape[1]:
+                half = graph.lam ** (-level) * graph.sup_half[w]
+                key_out, key_in = _keys(t, half, side)
+                # inside for radius i iff thresholds[i] >= key_in; outside iff < key_out
+                in_idx = np.searchsorted(thresholds, key_in)
+                decided = below[in_idx] < key_out
+                dec += np.bincount(in_idx[decided], minlength=n_r + 1)
+                rest = ~decided
+                if last:
+                    out_idx = np.searchsorted(thresholds, key_out[rest])
+                    lower += np.bincount(in_idx[rest], minlength=n_r + 1)
+                    upper += np.bincount(out_idx, minlength=n_r + 1)
+                else:
+                    kept[w].append((np.compress(rest, t, axis=1), in_idx[rest] - 1))
+            m = mass.h[w] * rho ** (-level)
+            lower_bins += m * dec
+            upper_bins += m * dec
+            if last:
+                lower_bins += m * lower
+                upper_bins += m * upper
+        parents = [_join(graph, k) for k in kept]
     return np.cumsum(lower_bins)[:n_r], np.cumsum(upper_bins)[:n_r]
+
+
+def _join(graph, parts):
+    """One (centres, lo) pair from a list of them."""
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        return np.empty((graph.dim, 0)), np.empty(0, dtype=np.intp)
+    return (np.concatenate([c for c, _ in parts], axis=1),
+            np.concatenate([lo for _, lo in parts]))
 
 
 def _replica(graph, mass, seed, k, J, depth, side, terms):
@@ -663,6 +792,8 @@ def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threa
         raise ValueError(f"k must be at least 1, got {k}")
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
+    if threads < 0:
+        raise ValueError(f"threads must be nonnegative, got {threads}")
     if side is None:
         side = _default_side(graph)
     if side not in ("two", "right"):
@@ -676,7 +807,7 @@ def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threa
         raise ValueError("step must divide 1 exactly")
     streams = np.random.SeedSequence(seed).spawn(replicas)
     args = [(graph, mass, streams[r], k, J, depth, side, terms) for r in range(replicas)]
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda a: _replica(*a), args))
     else:

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from subtiling import (GdifsGraph, MassVector, Substitution, build_graph,
                        fixture_path, load_substitution, mass_vector,
                        measure_normalization, suspension_lengths,
                        transverse_weights)
+from subtiling.substitution import parse_substitution
 
 FIXTURES = ["cantor", "cantor1001", "sigma2", "sigma_k0", "sigma_k1",
             "sigma_k2", "sigma_k3", "carpet", "openq1"]
@@ -62,3 +66,25 @@ def carpet_ws(carpet) -> Workset:
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+@st.composite
+def admissible_substitutions_1d(draw):
+    """Constant-length 1-d rules on one or two expanding letters (images
+    made of expanding letters) and one or two contracting letters (images
+    that start and end with contracting letters).  Draws that are not
+    admissible are discarded by the test."""
+    n_a, n_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    length = draw(st.integers(3, 5))
+    a_letters, b_letters = "ab"[:n_a], "xy"[:n_b]
+    letters = a_letters + b_letters
+
+    def word(alphabet, m):
+        return "".join(draw(st.lists(st.sampled_from(alphabet),
+                                     min_size=m, max_size=m)))
+
+    rules = {a: word(a_letters, length) for a in a_letters}
+    rules.update({b: word(b_letters, 1) + word(letters, length - 2)
+                  + word(b_letters, 1) for b in b_letters})
+    return parse_substitution(json.dumps(
+        {"alphabet": list(letters), "dim": 1, "rules": rules}))

@@ -47,6 +47,19 @@ def test_analyze_missing_config(tmp_path):
     assert run("analyze", "--config", tmp_path / "nope.json", "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("case", ["config is a directory", "out below a file"])
+def test_os_errors_exit_2(tmp_path, capsys, case):
+    config, out = fixture_path("cantor"), tmp_path / "out"
+    if case == "config is a directory":
+        config = tmp_path
+    else:
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+    assert run("analyze", "--config", config, "--out", out) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 # ---- density ----
 
 def test_density_repeatable_bytes(tmp_path):
@@ -61,7 +74,8 @@ def test_density_repeatable_bytes(tmp_path):
     assert doc["cross_check_delta"] >= 0.0
 
 
-@pytest.mark.parametrize("bad", [("--k", 0), ("--replicas", 0), ("--replicas", -1)])
+@pytest.mark.parametrize("bad", [("--k", 0), ("--replicas", 0), ("--replicas", -1),
+                                 ("--threads", -1), ("--threads", -3)])
 def test_density_rejects_bad_counts(tmp_path, capsys, bad):
     code = run("density", "--config", fixture_path("cantor"), "--k", 4,
                "--replicas", 2, *bad, "--out", tmp_path)

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -17,10 +16,9 @@ from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
                        sum_by_parts, suspension_lengths, transverse_weights,
                        window_from_sequence)
 from subtiling import ergodic
-from subtiling.substitution import parse_substitution
 from subtiling.ergodic import _report_grid, _window_labels
 
-from conftest import ADMISSIBLE_1D, rng
+from conftest import ADMISSIBLE_1D, admissible_substitutions_1d, rng
 
 
 @pytest.fixture(scope="module")
@@ -589,28 +587,6 @@ def test_series_reject_nonfinite_c(cantor_orbit, cantor, cantor_ws, c):
     win = window_from_sequence(cantor_orbit, cantor_ws.xi_len, 0, 200)
     with pytest.raises(ValueError, match="c must be finite"):
         second_order_tiling(win, _ind(1), alpha, c, 50.0)
-
-
-@st.composite
-def admissible_substitutions_1d(draw):
-    """Constant-length 1-d rules on one or two expanding letters (images
-    made of expanding letters) and one or two contracting letters (images
-    that start and end with contracting letters).  Draws that are not
-    admissible are discarded by the test."""
-    n_a, n_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    length = draw(st.integers(3, 5))
-    a_letters, b_letters = "ab"[:n_a], "xy"[:n_b]
-    letters = a_letters + b_letters
-
-    def word(alphabet, m):
-        return "".join(draw(st.lists(st.sampled_from(alphabet),
-                                     min_size=m, max_size=m)))
-
-    rules = {a: word(a_letters, length) for a in a_letters}
-    rules.update({b: word(b_letters, 1) + word(letters, length - 2)
-                  + word(b_letters, 1) for b in b_letters})
-    return parse_substitution(json.dumps(
-        {"alphabet": list(letters), "dim": 1, "rules": rules}))
 
 
 @settings(max_examples=60, deadline=None)

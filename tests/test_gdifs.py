@@ -1,20 +1,23 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
-                       PathPrefix, ZoomCursor, alpha_exponent,
+                       PathPrefix, ZoomCursor, admissibility_report, alpha_exponent,
                        average_density_birkhoff, average_density_pointwise,
                        ball_measure_bracket, build_graph, cylinder_measure,
-                       load_substitution, mass_vector, natural_projection)
+                       load_substitution, mass_vector, natural_projection,
+                       transverse_weights)
 from subtiling import gdifs
 from subtiling.gdifs import (_default_depth, _group, _measures_multiradius,
                              _norm_factor, _split, dimension)
 
-from conftest import Workset, rng
+from conftest import ADMISSIBLE_1D, Workset, admissible_substitutions_1d, rng
 
 # Two contracting letters with different masses and out-degrees; letter 1
 # has children of both letters.  Every shipped fixture has one vertex.
@@ -79,6 +82,79 @@ def _bracket_core(graph, mass, vids, taus, x, r, side, depth):
             return lo_acc, lo_acc + undecided
         groups = _split(graph, groups, graph.lam ** (-(level + 1)))
     return lo_acc, lo_acc
+
+
+# ---- multiradius oracle: every level materialised ----
+
+def _multiradius_oracle(graph, mass, vids, taus, radii, side, depth):
+    """`_measures_multiradius` with the children of every level built by `_split`."""
+    n_r = len(radii)
+    thresholds = radii * radii if side == "two" else np.asarray(radii, dtype=float)
+    below = np.concatenate([[-np.inf], thresholds])
+    groups = _group(graph, vids, taus)
+    rho = graph.rho_B
+    lower_bins = np.zeros(n_r + 1)
+    upper_bins = np.zeros(n_r + 1)
+    for level in range(depth + 1):
+        active = sum(t.shape[1] for t in groups)
+        if active == 0:
+            break
+        if active > gdifs._MAX_ACTIVE:
+            raise BracketPrecisionError(f"bracket query exceeded {gdifs._MAX_ACTIVE} "
+                                        f"active cylinders at depth {level}")
+        for v, t in enumerate(groups):
+            if t.shape[1] == 0:
+                continue
+            half = graph.lam ** (-level) * graph.sup_half[v][:, None]
+            if side == "two":
+                near = np.abs(t)
+                far = near + half
+                near -= half
+                np.maximum(near, 0.0, out=near)
+                key_out = np.einsum("ij,ij->j", near, near)
+                key_in = np.einsum("ij,ij->j", far, far)
+            else:
+                lo = t[0] - half[0]
+                hi = t[0] + half[0]
+                key_out = np.where(hi < 0, np.inf, lo)
+                key_in = np.where(lo >= 0, hi, np.inf)
+            m = mass.h[v] * rho ** (-level)
+            in_idx = np.searchsorted(thresholds, key_in)
+            banded = below[in_idx] < key_out
+            decided = m * np.bincount(in_idx[banded], minlength=n_r + 1)
+            lower_bins += decided
+            upper_bins += decided
+            rest = ~banded
+            if level == depth:
+                out_idx = np.searchsorted(thresholds, key_out[rest])
+                lower_bins += m * np.bincount(in_idx[rest], minlength=n_r + 1)
+                upper_bins += m * np.bincount(out_idx, minlength=n_r + 1)
+            else:
+                groups[v] = np.compress(rest, t, axis=1)
+        if level == depth:
+            break
+        groups = _split(graph, groups, graph.lam ** (-(level + 1)))
+    return np.cumsum(lower_bins)[:n_r], np.cumsum(upper_bins)[:n_r]
+
+
+def _dyadic(x) -> bool:
+    d = Fraction(float(x)).denominator
+    return d & (d - 1) == 0
+
+
+def _assert_matches_oracle(graph, mass, vids, taus, radii, side, depth):
+    """The kernel equals the oracle: bit for bit where every cylinder mass
+    h_v rho^-level is dyadic, within 1e-15 relative elsewhere."""
+    got = _measures_multiradius(graph, mass, vids, taus, radii, side, depth)
+    want = _multiradius_oracle(graph, mass, vids, taus, radii, side, depth)
+    rho = graph.rho_B
+    exact = _dyadic(rho) and _dyadic(1.0 / rho) and all(map(_dyadic, mass.h))
+    for a, b in zip(got, want):
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0.0)
+    return got
 
 
 # ---- graph construction ----
@@ -358,7 +434,7 @@ def test_density_labels_share_one_estimator(carpet_ws):
 
 
 @pytest.mark.parametrize("bad", [dict(k=0), dict(replicas=0), dict(replicas=-1),
-                                 dict(side="left")])
+                                 dict(side="left"), dict(threads=-1)])
 def test_density_rejects_bad_input(cantor_ws, bad):
     kw = dict(seed=1, k=2, replicas=2) | bad
     with pytest.raises(ValueError):
@@ -402,6 +478,132 @@ def test_multiradius_matches_per_radius_brackets(name, side, depth, request):
     lo, hi = _bracket_core(g, ws.mass, vids, ties, x0, 1.0, side, depth)
     assert lower[-1] <= lo * (1 + 1e-12) and hi <= upper[-1] * (1 + 1e-12)
     assert lower[-1] > 0 and hi > lo
+
+
+KERNEL_CASES = ([(name, side) for name in ADMISSIBLE_1D for side in ("right", "two")]
+                + [("carpet", "two"), ("two_vertex", "right"), ("two_vertex", "two")])
+
+
+@pytest.fixture(scope="module")
+def worksets(subs, carpet_ws, two_vertex_ws):
+    cache = {"carpet": carpet_ws, "two_vertex": two_vertex_ws}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = Workset(subs[name])
+        return cache[name]
+    return get
+
+
+# count_min 1 counts the children of every group, however small
+@pytest.mark.parametrize("count_min", [gdifs._COUNT_MIN, 1])
+@pytest.mark.parametrize("name, side", KERNEL_CASES)
+def test_kernel_matches_materialised_oracle(name, side, count_min, worksets, monkeypatch):
+    monkeypatch.setattr(gdifs, "_COUNT_MIN", count_min)
+    ws = worksets(name)
+    g, J = ws.graph, 32
+    depth = _default_depth(g) if g.dim == 1 else 5
+    grid = g.lam ** (-np.arange(J, -1, -1, dtype=float) / J)
+    for seed in (21, 22):
+        for vids, delta in _cursor_states(ws, k=3, seed=seed):
+            _assert_matches_oracle(g, ws.mass, vids, delta, grid, side, depth)
+    # exact ties: points and radii on the cylinder grid, as in
+    # test_bracket_overlaps_oracle_at_ties, all radii in one query
+    span, lam = float(g.sup_half.max()), g.lam
+    step = 2.0 * span * lam ** -3
+    radii = np.unique([f * lam ** -m for m in range(1, 9) for f in (1.5, 2.0 * span)])
+    for v in range(g.n_vertices):
+        for i in range(-2, round(2.0 * span / step) + 3):
+            x = np.full(g.dim, -span + i * step)
+            _assert_matches_oracle(g, ws.mass, [v], -x[None, :], radii, side, depth)
+
+
+@pytest.mark.parametrize("name, side, depth, r0", [
+    ("carpet", "two", 3, 0.5), ("two_vertex", "right", 6, 0.2),
+    ("two_vertex", "two", 4, 0.5)])
+def test_kernel_fallback_when_band_holds_several_radii(name, side, depth, r0, worksets,
+                                                       monkeypatch):
+    # radii 0.2% apart: at a small depth a cylinder's band holds several, so
+    # some parents of the deepest level have their children built
+    ws = worksets(name)
+    monkeypatch.setattr(gdifs, "_COUNT_MIN", 1)
+    count = gdifs._count_children
+    calls = []
+
+    def spy(graph, v, t, *args):
+        split = count(graph, v, t, *args)
+        calls.append((t.shape[1], int(np.count_nonzero(split))))
+        return split
+    monkeypatch.setattr(gdifs, "_count_children", spy)
+    radii = r0 + 0.001 * np.arange(60)
+    for seed in (8, 9):
+        for vids, delta in _cursor_states(ws, k=3, seed=seed):
+            _assert_matches_oracle(ws.graph, ws.mass, vids, delta, radii, side, depth)
+    parents = sum(n for n, _ in calls)
+    split = sum(s for _, s in calls)
+    assert 0 < split < parents
+
+
+def test_kernel_budget_counts_unbuilt_children(carpet_ws, monkeypatch):
+    ws, depth = carpet_ws, 4
+    monkeypatch.setattr(gdifs, "_COUNT_MIN", 1)
+    g, J = ws.graph, 32
+    radii = g.lam ** (-np.arange(J, -1, -1, dtype=float) / J)
+    vids, taus = next(_cursor_states(ws, k=1, seed=5))
+    split = _split
+    built = []
+
+    def spy(graph, groups, scale):
+        out = split(graph, groups, scale)
+        built.append(sum(t.shape[1] for t in out))
+        return out
+    monkeypatch.setitem(globals(), "_split", spy)
+    want = _multiradius_oracle(g, ws.mass, vids, taus, radii, "two", depth)
+    deepest = built[-1]
+    monkeypatch.setattr(gdifs, "_split", spy)
+    built.clear()
+    monkeypatch.setattr(gdifs, "_MAX_ACTIVE", deepest)
+    got = _measures_multiradius(g, ws.mass, vids, taus, radii, "two", depth)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert built[-1] < deepest  # most of the deepest level is never built
+    monkeypatch.setattr(gdifs, "_MAX_ACTIVE", deepest - 1)
+    with pytest.raises(BracketPrecisionError, match=f"at depth {depth}"):
+        _measures_multiradius(g, ws.mass, vids, taus, radii, "two", depth)
+    with pytest.raises(BracketPrecisionError, match=f"at depth {depth}"):
+        _multiradius_oracle(g, ws.mass, vids, taus, radii, "two", depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=admissible_substitutions_1d(), side=st.sampled_from(["right", "two"]),
+       seed=st.integers(0, 2 ** 16), n_pieces=st.integers(1, 4),
+       n_radii=st.integers(1, 8), count_min=st.sampled_from([gdifs._COUNT_MIN, 1]))
+def test_kernel_oracle_and_depth_nesting_on_generated_rules(sub, side, seed, n_pieces,
+                                                            n_radii, count_min):
+    """Kernel equals oracle on generated admissible rules, and deeper
+    brackets nest: lower never falls and upper never rises."""
+    assume(admissibility_report(sub).admissible)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gdifs, "_COUNT_MIN", count_min)
+        _check_generated(sub, side, seed, n_pieces, n_radii)
+
+
+def _check_generated(sub, side, seed, n_pieces, n_radii):
+    graph = build_graph(sub)
+    mass = mass_vector(graph, transverse_weights(sub).xi_tr)
+    g = rng(seed)
+    span = float(graph.sup_half.max())
+    vids = g.integers(0, graph.n_vertices, n_pieces)
+    taus = g.uniform(-1.5 * span, 1.5 * span, size=(n_pieces, 1))
+    radii = np.sort(g.uniform(0.0, 2.0 * span, size=n_radii))
+    # masses are summed in different orders, so comparisons allow rounding
+    tol = 1e-12 * float(mass.h.max()) * n_pieces
+    prev = None
+    for depth in range(7):
+        lower, upper = _assert_matches_oracle(graph, mass, vids, taus, radii, side, depth)
+        assert (lower <= upper + tol).all()
+        if prev is not None:
+            assert (prev[0] <= lower + tol).all() and (upper <= prev[1] + tol).all()
+        prev = lower, upper
 
 
 def _per_radius_trapezoid(graph, mass, seed, k, J, depth, side, terms):
