@@ -14,8 +14,8 @@ from .spectral import (AdmissibilityReport, BlockStructure, LengthAsymptotics,
                        MatrixConfig, PerronData, admissibility_report,
                        alpha_exponent, is_primitive, length_asymptotics_check,
                        load_matrix_config, matrix_report, normal_form,
-                       perron_vectors, snap_rational_eigenpair,
-                       spectral_radius)
+                       perron_vectors, require_admissible,
+                       snap_rational_eigenpair, spectral_radius)
 from .gdifs import (BracketPrecisionError, DensityEstimate, Edge, GdifsGraph,
                     MarkovSampler, MassVector, PathPrefix, ZoomCursor,
                     average_density_birkhoff, average_density_pointwise,
@@ -26,13 +26,12 @@ from .tiling import (CoverageError, GridPatch, GrowthScan, LengthVector,
                      count_B_tiles_1d, count_B_tiles_ball_2d, default_seed,
                      grid_patch, lemma_length_ratio, patch_text, prefix_radius,
                      suspension_lengths, tiling_length, window_from_sequence)
-from .ergodic import (DistributionTable, FrequencySeries, MeasureNormalization,
-                      Observable, RatioTable, SecondOrderSeries,
-                      TransversalSampler, TransverseWeights, alpha_frequency,
-                      birkhoff_prefix_sums, distribution_experiment,
-                      log_frequency, mass_observable, measure_normalization,
-                      ratio_check, second_order_symbolic, second_order_tiling,
-                      sum_by_parts, transverse_weights)
+from .ergodic import (DistributionTable, MeasureNormalization, Observable,
+                      RatioTable, SecondOrderSeries, TransversalSampler,
+                      TransverseWeights, alpha_frequency, birkhoff_prefix_sums,
+                      distribution_experiment, log_frequency, mass_observable,
+                      measure_normalization, ratio_check, second_order_symbolic,
+                      second_order_tiling, sum_by_parts, transverse_weights)
 
 __version__ = "0.1.0"
 

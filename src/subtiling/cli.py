@@ -28,6 +28,7 @@ files and standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -100,13 +101,9 @@ class _Ctx:
     """Admissible-substitution working set shared by the verify commands."""
 
     def __init__(self, sub: Substitution, seed: int) -> None:
-        rep = admissibility_report(sub)
-        if not rep.admissible:
-            raise ConfigError("substitution is not admissible: "
-                              + "; ".join(rep.failures))
         self.sub = sub
-        self.alpha = float(rep.alpha)
-        self.graph = build_graph(sub)
+        self.graph = build_graph(sub)  # raises on an inadmissible substitution
+        self.alpha = float(self.graph.alpha)
         tw = transverse_weights(sub)
         self.mass = mass_vector(self.graph, tw.xi_tr)
         self.xi_len = suspension_lengths(sub) if sub.dim == 1 else None
@@ -247,57 +244,43 @@ def _mean_series(build_one, replicas: int):
     acc = first.partials.copy()
     for _ in range(replicas - 1):
         acc += build_one().partials
-    return first, acc / replicas
+    return dataclasses.replace(first, partials=acc / replicas)
 
 
-def _series_csv_text(series, mean: np.ndarray) -> str:
-    lines = ["scale,partial,target,relative_error"]
-    target = series.target
-    for s, p in zip(series.grid.tolist(), mean.tolist()):
-        sv = repr(float(s)) if isinstance(s, float) else str(s)
-        if target:
-            lines.append(f"{sv},{p!r},{target!r},{(p - target) / target!r}")
-        elif target == 0.0:
-            lines.append(f"{sv},{p!r},{target!r},")
-        else:
-            lines.append(f"{sv},{p!r},,")
-    return "\n".join(lines) + "\n"
+def _series_outputs(stem: str, build_one, replicas: int, **extra):
+    """<stem>.csv, <stem>.json and the summary line of a replica-averaged series.
 
-
-def _series_outputs(stem: str, build_one, replicas: int, engine: str, **extra):
-    """<stem>.csv, <stem>.json and the summary line of a replica-averaged series."""
-    series, mean = _mean_series(build_one, replicas)
-    grid = series.grid
-    lg = np.log(grid.astype(np.float64))
-    m = int(np.argmin(np.abs(lg - (lg[-1] - np.log(10.0)))))
-    windowed = float((mean[-1] * lg[-1] - mean[m] * lg[m]) / (lg[-1] - lg[m])) \
-        if m < len(lg) - 1 else float(mean[-1])
-    sel = lg >= lg[-1] - np.log(10.0) - 1e-12
-    pts = mean[sel]
+    A one-point grid (--n 2, --R 2) has no decade to difference over: it
+    reports its final partial as the final-decade one and no oscillation.
+    """
+    mean = _mean_series(build_one, replicas)
+    final = float(mean.partials[-1])
+    one_point = mean.grid.size == 1
+    windowed = final if one_point else mean.final_decade(10.0)
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "engine": engine,
+        "engine": mean.kind,
         "replicas": replicas,
-        "alpha": series.alpha,
-        "target": series.target,
-        "final_partial": float(mean[-1]),
+        "alpha": mean.alpha,
+        "target": mean.target,
+        "final_partial": final,
         "final_decade_partial": windowed,
         **extra,
     }
-    if getattr(series, "c_used", None) is not None:
-        doc["c_used"] = series.c_used
+    if mean.c_used is not None:
+        doc["c_used"] = mean.c_used
+    if mean.letter is not None:
+        doc["letter"] = mean.letter
     summary = [f"final-decade partial {windowed!r}"]
-    if series.target is not None:
-        summary.append(f"target {series.target!r}")
-    if series.target:
-        doc["relative_error_final"] = float(mean[-1] / series.target - 1.0)
-        doc["relative_error_final_decade"] = windowed / series.target - 1.0
+    if mean.target is not None:
+        summary.append(f"target {mean.target!r}")
+    if mean.target:
+        doc["relative_error_final"] = final / mean.target - 1.0
+        doc["relative_error_final_decade"] = windowed / mean.target - 1.0
         summary.append(f"relative error {doc['relative_error_final_decade']!r}")
-        if pts.size >= 2:
-            doc["oscillation_last_decade"] = \
-                float((pts.max() - pts.min()) / abs(series.target))
-    files = {stem + ".csv": _series_csv_text(series, mean),
-             stem + ".json": _json_text(doc)}
+        if not one_point:
+            doc["oscillation_last_decade"] = mean.last_decade_oscillation(10.0)
+    files = {stem + ".csv": mean.csv(), stem + ".json": _json_text(doc)}
     return files, "  ".join(summary) + "\n", EXIT_OK
 
 
@@ -311,7 +294,6 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
         raise ConfigError("2-d configs take --R, not --n")
     if n is not None:
         n = int(n)
-        engine = "symbolic"
 
         def one():
             x = ctx.sampler.orbit(n)
@@ -321,7 +303,6 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
         raise ConfigError("pass --n (symbolic) or --R (tiling)")
     elif sub.dim == 1:
         R = float(R)
-        engine = "suspension"
         xi = ctx.xi_len
         n_tiles = int(np.ceil(R / xi.xi_len.min())) + 4
 
@@ -333,7 +314,6 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
                                        grid_density=params["grid_density"])
     else:
         R = float(R)
-        engine = "grid"
         q = sub.q
         level = params["level"]
         if level is None:
@@ -346,7 +326,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
             return second_order_tiling(patch, f, ctx.alpha, c, R, norm=ctx.norm,
                                        grid_density=params["grid_density"])
 
-    return _series_outputs("second_order", one, params["replicas"], engine,
+    return _series_outputs("second_order", one, params["replicas"],
                            c_source=c_source)
 
 
@@ -360,8 +340,7 @@ def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
         return alpha_frequency(x, b, ctx.alpha, n, c=c, norm=ctx.norm,
                                grid_density=params["grid_density"])
 
-    return _series_outputs("frequency", one, params["replicas"], "frequency",
-                           letter=b, c_source=c_source)
+    return _series_outputs("frequency", one, params["replicas"], c_source=c_source)
 
 
 def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
@@ -372,7 +351,7 @@ def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
         return log_frequency(ctx.sampler.orbit(n), a, n,
                              grid_density=params["grid_density"])
 
-    return _series_outputs("logfreq", one, params["replicas"], "logfreq", letter=a)
+    return _series_outputs("logfreq", one, params["replicas"])
 
 
 def _distribution(ctx: _Ctx, params: dict, seed: int, threads: int):

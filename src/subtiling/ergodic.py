@@ -32,7 +32,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .gdifs import GdifsGraph, MarkovSampler, MassVector, build_graph, mass_vector
-from .spectral import admissibility_report, perron_vectors
+from .spectral import perron_vectors, require_admissible
 from .substitution import (LENGTH_CAP, LengthCapError, Substitution,
                            TwoSidedWord, expand_grid, iterate,
                            substitution_matrix)
@@ -52,7 +52,6 @@ __all__ = [
     "SecondOrderSeries",
     "second_order_symbolic",
     "second_order_tiling",
-    "FrequencySeries",
     "alpha_frequency",
     "log_frequency",
     "sum_by_parts",
@@ -168,9 +167,7 @@ def transverse_weights(sub: Substitution,
     with tile lengths over B letters is 1 (xi_len defaults to the
     suspension lengths), for dim 2 the entries sum to 1.
     """
-    rep = admissibility_report(sub)
-    if not rep.admissible:
-        raise ValueError("substitution is not admissible: " + "; ".join(rep.failures))
+    rep = require_admissible(sub)
     b = rep.b_letters
     M = substitution_matrix(sub)
     B = M[np.ix_(b, b)].astype(np.float64)
@@ -245,9 +242,7 @@ def measure_normalization(sub: Substitution,
     reported target is invariant under rescaling mass by s and the
     measure by 1/s.
     """
-    rep = admissibility_report(sub)
-    if not rep.admissible:
-        raise ValueError("substitution is not admissible: " + "; ".join(rep.failures))
+    rep = require_admissible(sub)
     b = rep.b_letters
     xi = xi_tr.xi_tr if isinstance(xi_tr, TransverseWeights) else \
         np.asarray(xi_tr, dtype=np.float64)
@@ -471,61 +466,27 @@ def _as_grid(n_grid) -> np.ndarray:
     return g
 
 
-def _final_decade(grid: np.ndarray, partials: np.ndarray, width: float) -> float:
-    if width <= 1.0:
-        raise ValueError("decade width must exceed 1")
-    lg = np.log(grid.astype(np.float64))
-    m = int(np.argmin(np.abs(lg - (lg[-1] - np.log(width)))))
-    if m == len(lg) - 1:
-        raise ValueError("grid too short to isolate a final decade")
-    return float((partials[-1] * lg[-1] - partials[m] * lg[m]) / (lg[-1] - lg[m]))
-
-
-def _oscillation(grid: np.ndarray, partials: np.ndarray,
-                 target: Optional[float], width: float) -> float:
-    lg = np.log(grid.astype(np.float64))
-    sel = lg >= lg[-1] - np.log(width) - 1e-12
-    pts = partials[sel]
-    if pts.size < 2:
-        raise ValueError("grid too short to measure oscillation")
-    denom = abs(target) if target else abs(float(pts.mean()))
-    if denom == 0.0:
-        raise ValueError("oscillation undefined against a zero reference")
-    return float((pts.max() - pts.min()) / denom)
-
-
-def _series_csv(grid: np.ndarray, partials: np.ndarray,
-                target: Optional[float]) -> str:
-    lines = ["scale,partial,target,relative_error"]
-    for s, p in zip(grid.tolist(), partials.tolist()):
-        sv = repr(float(s)) if isinstance(s, float) else str(s)
-        if target:
-            rel = (p - target) / target
-            lines.append(f"{sv},{p!r},{target!r},{rel!r}")
-        elif target == 0.0:
-            lines.append(f"{sv},{p!r},{target!r},")
-        else:
-            lines.append(f"{sv},{p!r},,")
-    return "\n".join(lines) + "\n"
-
-
 # ---- second-order series ----
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderSeries:
-    """Log-averaged second-order partials on a geometric scale grid.
+    """Log-averaged partials on a geometric scale grid, and their summary.
 
     partials[i] is the exact cumulative log-average at grid[i]; the
-    limit for nu-typical input is target.  final_decade removes the
-    scale-free truncation bias by differencing two report points a
-    decade apart, which is the quantity tolerances apply to.
+    limit for nu-typical input is target.  Every series engine returns
+    one: the second-order sums (c_used is the density they divide by)
+    and the letter frequencies (letter is the counted letter).  kind
+    names the engine.  final_decade removes the scale-free truncation
+    bias by differencing two report points a decade apart, which is the
+    quantity tolerances apply to.
     """
     grid: np.ndarray
     partials: np.ndarray
     target: Optional[float]
     alpha: float
-    c_used: float
+    c_used: Optional[float] = None
     kind: str = ""
+    letter: Optional[int] = None
 
     def __post_init__(self) -> None:
         g = np.asarray(self.grid)
@@ -540,13 +501,41 @@ class SecondOrderSeries:
         object.__setattr__(self, "partials", p)
 
     def final_decade(self, width: float = 10.0) -> float:
-        return _final_decade(self.grid, self.partials, width)
+        """Difference quotient of log-weighted partials over the last `width`."""
+        if width <= 1.0:
+            raise ValueError("decade width must exceed 1")
+        lg = np.log(self.grid.astype(np.float64))
+        m = int(np.argmin(np.abs(lg - (lg[-1] - np.log(width)))))
+        if m == len(lg) - 1:
+            raise ValueError("grid too short to isolate a final decade")
+        p = self.partials
+        return float((p[-1] * lg[-1] - p[m] * lg[m]) / (lg[-1] - lg[m]))
 
     def last_decade_oscillation(self, width: float = 10.0) -> float:
-        return _oscillation(self.grid, self.partials, self.target, width)
+        """Spread of the partials over the last `width`, over |target| (else |mean|)."""
+        lg = np.log(self.grid.astype(np.float64))
+        pts = self.partials[lg >= lg[-1] - np.log(width) - 1e-12]
+        if pts.size < 2:
+            raise ValueError("grid too short to measure oscillation")
+        denom = abs(self.target) if self.target else abs(float(pts.mean()))
+        if denom == 0.0:
+            raise ValueError("oscillation undefined against a zero reference")
+        return float((pts.max() - pts.min()) / denom)
 
     def csv(self) -> str:
-        return _series_csv(self.grid, self.partials, self.target)
+        """scale,partial,target,relative_error rows; empty cells where undefined."""
+        target = self.target
+        lines = ["scale,partial,target,relative_error"]
+        for s, p in zip(self.grid.tolist(), self.partials.tolist()):
+            sv = repr(float(s)) if isinstance(s, float) else str(s)
+            if target:
+                rel = (p - target) / target
+                lines.append(f"{sv},{p!r},{target!r},{rel!r}")
+            elif target == 0.0:
+                lines.append(f"{sv},{p!r},{target!r},")
+            else:
+                lines.append(f"{sv},{p!r},,")
+        return "\n".join(lines) + "\n"
 
 
 def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
@@ -665,45 +654,14 @@ def _window_volume(win: Tiling1DWindow, g: Observable, R_max: float
 
 # ---- frequencies ----
 
-@dataclass(frozen=True, eq=False)
-class FrequencySeries:
-    """Partials of (1/log n) * sum_{1<=k<=n, x_k=b} k^(-alpha)."""
-    grid: np.ndarray
-    partials: np.ndarray
-    target: Optional[float]
-    alpha: float
-    letter: int
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.int64)
-        p = np.asarray(self.partials, dtype=np.float64)
-        if g.ndim != 1 or g.size == 0 or p.shape != g.shape:
-            raise ValueError("grid and partials must be vectors of equal length")
-        if (np.diff(g) <= 0).any():
-            raise ValueError("grid must be strictly increasing")
-        if not np.isfinite(p).all():
-            raise ValueError("partials must be finite")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "partials", p)
-
-    def final_decade(self, width: float = 10.0) -> float:
-        return _final_decade(self.grid, self.partials, width)
-
-    def last_decade_oscillation(self, width: float = 10.0) -> float:
-        return _oscillation(self.grid, self.partials, self.target, width)
-
-    def csv(self) -> str:
-        return _series_csv(self.grid, self.partials, self.target)
-
-
 def _check_letter(letter: int) -> None:
     if letter < 0:
         raise ValueError(f"letter ids must be nonnegative, got {letter}")
 
 
 def _frequency_series(x, letter: int, alpha: float, n_max: int,
-                      grid_density: int, target: Optional[float]
-                      ) -> FrequencySeries:
+                      grid_density: int, target: Optional[float], kind: str
+                      ) -> SecondOrderSeries:
     """Sum k^-alpha over the visits k <= g to the letter.
 
     A letter that fills more than half the orbit is summed as the
@@ -719,13 +677,14 @@ def _frequency_series(x, letter: int, alpha: float, n_max: int,
     if complement:
         total = _power_sums("prefix", n, alpha)[grid] - total
     partials = total / np.log(grid)
-    return FrequencySeries(grid, partials, target, float(alpha), int(letter))
+    return SecondOrderSeries(grid, partials, target, float(alpha), kind=kind,
+                             letter=int(letter))
 
 
 def alpha_frequency(x, b: int, alpha: float, n_max: int, *,
                     c: Optional[float] = None,
                     norm: Optional[MeasureNormalization] = None,
-                    grid_density: int = 8) -> FrequencySeries:
+                    grid_density: int = 8) -> SecondOrderSeries:
     """alpha-dimensional letter frequency series of a contracting letter.
 
     Partials of (1/log n) sum over k <= n with x_k = b of k^(-alpha);
@@ -741,10 +700,11 @@ def alpha_frequency(x, b: int, alpha: float, n_max: int, *,
         nu_b = norm.nu_of(int(b))
         if c is not None:
             target = float(alpha) * float(c) * nu_b
-    return _frequency_series(x, int(b), float(alpha), n_max, grid_density, target)
+    return _frequency_series(x, int(b), float(alpha), n_max, grid_density, target,
+                             "frequency")
 
 
-def log_frequency(x, a: int, n_max: int, grid_density: int = 8) -> FrequencySeries:
+def log_frequency(x, a: int, n_max: int, grid_density: int = 8) -> SecondOrderSeries:
     """Logarithmic letter frequency: (1/log n) sum_{k<=n, x_k=a} 1/k.
 
     Converges to the ordinary frequency when that exists; it is 1 for
@@ -752,7 +712,7 @@ def log_frequency(x, a: int, n_max: int, grid_density: int = 8) -> FrequencySeri
     letter, so no target is attached.
     """
     _check_letter(a)
-    return _frequency_series(x, int(a), 1.0, n_max, grid_density, None)
+    return _frequency_series(x, int(a), 1.0, n_max, grid_density, None, "logfreq")
 
 
 def sum_by_parts(ps: np.ndarray, alpha: float, n_grid) -> np.ndarray:
@@ -807,11 +767,15 @@ class TransversalSampler:
         self._sampler = MarkovSampler(graph, mass, seed)
         self._letters = np.asarray(graph.letter_ids, dtype=np.int64)
         if sub.dim == 1:
-            self._pref = _prefix_populations(sub, graph)
+            # per edge, the letter counts before its occurrence in the image
+            self._pref = np.stack([
+                np.bincount(sub.image(int(self._letters[v]))[:pos],
+                            minlength=sub.n_letters)
+                for v, pos in zip(graph.edge_src.tolist(), graph.edge_pos.tolist())])
             self._M = substitution_matrix(sub).astype(np.int64)
             self._L = [np.ones(sub.n_letters, dtype=np.int64)]
         else:
-            self._erow, self._ecol = _grid_positions(sub, graph)
+            self._erow, self._ecol = np.divmod(graph.edge_pos, sub.q)
         self._words: dict[tuple[int, int], np.ndarray] = {}
 
     # -- 1-d addressing --
@@ -846,7 +810,8 @@ class TransversalSampler:
         """(start letters, positions, depth, resampled) for `count` draws.
 
         Each position s satisfies s + span <= len of the realized
-        supertile word of its start letter, resampling rejected draws.
+        supertile word of its start letter, resampling rejected draws;
+        CoverageError when _MAX_DRAWS batches leave some draw unfilled.
         """
         if self.sub.dim != 1:
             raise ValueError("symbolic addressing needs a 1-d substitution")
@@ -873,8 +838,11 @@ class TransversalSampler:
             out_letter[filled: filled + n_ok] = letters[ok]
             out_pos[filled: filled + n_ok] = pos[ok]
             filled += n_ok
-        else:
-            raise RuntimeError("address sampling kept overflowing the supertile")
+        if filled < count:
+            raise CoverageError(
+                f"{self._MAX_DRAWS} draw batches left {count - filled} of {count} "
+                f"addresses without room for {span} letters in their "
+                f"level-{depth} supertile")
         return out_letter, out_pos, depth, resampled
 
     def orbit(self, n: int) -> np.ndarray:
@@ -892,7 +860,12 @@ class TransversalSampler:
         """Patch of the level-`level` supertile recentered on a random cell.
 
         The addressed cell covers [0,1]^2 and the patch extends R+1
-        cells each way, enough for ball scans up to radius R.
+        cells each way, enough for ball scans up to radius R.  Draws
+        closer than that to the supertile's edge are rejected, and
+        CoverageError is raised when all _MAX_DRAWS of them are: the
+        level is too low for R wherever the mass sits (on the carpet at
+        level 6 and R 243, every centre far enough from the edge lies in
+        the central hole).
         """
         if self.sub.dim != 2:
             raise ValueError("patches need a 2-d substitution")
@@ -921,48 +894,10 @@ class TransversalSampler:
                                         j - rpad, j + rpad + 1)
                 return GridPatch(labels, x_lo=-rpad, y_top=rpad + 1,
                                  level=level, q=q)
-        raise RuntimeError("patch sampling kept hitting the supertile margin")
-
-
-def _prefix_populations(sub: Substitution, graph: GdifsGraph) -> np.ndarray:
-    """Per edge, the letter counts strictly before its occurrence."""
-    pref = np.zeros((graph.n_edges, sub.n_letters), dtype=np.int64)
-    b_set = set(int(graph.letter_ids[u]) for u in range(graph.n_vertices))
-    for v in range(graph.n_vertices):
-        img = sub.image(int(graph.letter_ids[v]))
-        ids = graph.out_edges[v]
-        # replay the build scan: edges appear in image position order
-        running = np.zeros(sub.n_letters, dtype=np.int64)
-        oi = 0
-        for a in img.tolist():
-            if a in b_set:
-                pref[ids[oi]] = running
-                oi += 1
-            running[a] += 1
-        if oi != len(ids):
-            raise RuntimeError("edge order does not match the image scan")
-    return pref
-
-
-def _grid_positions(sub: Substitution, graph: GdifsGraph
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Per edge, the (row, col) of its occurrence in the source grid."""
-    erow = np.zeros(graph.n_edges, dtype=np.int64)
-    ecol = np.zeros(graph.n_edges, dtype=np.int64)
-    b_set = set(int(graph.letter_ids[u]) for u in range(graph.n_vertices))
-    for v in range(graph.n_vertices):
-        grid = sub.grid(int(graph.letter_ids[v]))
-        ids = graph.out_edges[v]
-        oi = 0
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                if int(grid[i, j]) in b_set:
-                    erow[ids[oi]] = i
-                    ecol[ids[oi]] = j
-                    oi += 1
-        if oi != len(ids):
-            raise RuntimeError("edge order does not match the grid scan")
-    return erow, ecol
+        raise CoverageError(
+            f"none of {self._MAX_DRAWS} draws addressed a cell {rpad} cells "
+            f"inside the level-{level} supertile; raise the level (--level) "
+            f"for radius {float(R)!r}")
 
 
 def _window_labels(sub: Substitution, letter: int, level: int,
@@ -1056,9 +991,7 @@ def distribution_experiment(sub: Substitution, f: Observable, n_levels: int,
         raise ValueError("the experiment renormalizes 1-d prefix sums")
     if n_levels < 0 or samples < 1:
         raise ValueError("need n_levels >= 0 and samples >= 1")
-    rep = admissibility_report(sub)
-    if not rep.admissible:
-        raise ValueError("substitution is not admissible: " + "; ".join(rep.failures))
+    rep = require_admissible(sub)
     lam = int(round(rep.lam))
     if abs(rep.lam - lam) > 1e-9 * rep.lam:
         raise ValueError("renormalized sums need an integer inflation factor")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral import admissibility_report, perron_vectors, snap_rational_eigenpair
+from .spectral import perron_vectors, require_admissible, snap_rational_eigenpair
 from .substitution import Substitution, substitution_matrix
 
 __all__ = [
@@ -68,6 +68,7 @@ class GdifsGraph:
     edge_src: np.ndarray             # (E,)
     edge_dst: np.ndarray             # (E,)
     edge_u: np.ndarray               # (E, dim)
+    edge_pos: np.ndarray             # (E,) position in the source image, row-major in 2-d
     out_edges: list[np.ndarray]      # per-vertex global edge ids, occurrence order
     B: np.ndarray                    # restriction of the substitution matrix
     overlap: bool
@@ -108,9 +109,7 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
     tile lengths snap to rationals satisfying the eigenvector identity;
     exact_geometry records whether they are also exact as float64.
     """
-    rep = admissibility_report(sub)
-    if not rep.admissible:
-        raise ValueError("substitution is not admissible: " + "; ".join(rep.failures))
+    rep = require_admissible(sub)
     b_letters = rep.b_letters
     local = {g: i for i, g in enumerate(b_letters)}
     m = len(b_letters)
@@ -134,6 +133,7 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
 
     exact = sub.dim == 2 or xi_fr is not None
     edges: list[Edge] = []
+    edge_pos: list[int] = []
     out_edges: list[list[int]] = [[] for _ in range(m)]
     for s_local, gs in enumerate(b_letters):
         if sub.dim == 1:
@@ -170,6 +170,7 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
                         raise ValueError("child tile leaves the inflated prototile")
                     eid = len(edges)
                     edges.append(Edge(s_local, r_local, u))
+                    edge_pos.append(pos)
                     out_edges[s_local].append(eid)
                     M[r_local, s_local] += 1
         else:
@@ -183,6 +184,7 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
                         u = np.array([j + 0.5 - q / 2.0, q / 2.0 - i - 0.5])
                         eid = len(edges)
                         edges.append(Edge(s_local, r_local, u))
+                        edge_pos.append(i * q + j)
                         out_edges[s_local].append(eid)
                         M[r_local, s_local] += 1
 
@@ -213,6 +215,7 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
         edge_src=edge_src,
         edge_dst=edge_dst,
         edge_u=edge_u,
+        edge_pos=np.array(edge_pos, dtype=np.int64),
         out_edges=[np.array(ids, dtype=np.int64) for ids in out_edges],
         B=M,
         overlap=overlap,

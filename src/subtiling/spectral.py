@@ -31,6 +31,7 @@ __all__ = [
     "perron_vectors",
     "alpha_exponent",
     "admissibility_report",
+    "require_admissible",
     "matrix_report",
     "length_asymptotics_check",
     "load_matrix_config",
@@ -515,12 +516,17 @@ def admissibility_report(sub: Substitution, tec2_max_k: int = 12) -> Admissibili
                                a_letters, b_letters, failures)
 
 
-def alpha_exponent(sub: Substitution) -> float:
-    """alpha = log rho(B) / log lambda for an admissible substitution."""
+def require_admissible(sub: Substitution) -> AdmissibilityReport:
+    """The admissibility report of `sub`; ValueError naming its failures if any."""
     rep = admissibility_report(sub)
     if not rep.admissible:
         raise ValueError("substitution is not admissible: " + "; ".join(rep.failures))
-    return rep.alpha
+    return rep
+
+
+def alpha_exponent(sub: Substitution) -> float:
+    """alpha = log rho(B) / log lambda for an admissible substitution."""
+    return require_admissible(sub).alpha
 
 
 # ---- matrix-only fixtures ----

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .spectral import admissibility_report, perron_vectors, snap_rational_eigenpair
+from .spectral import perron_vectors, require_admissible, snap_rational_eigenpair
 from .substitution import (
     LengthCapError,
     Substitution,
@@ -99,9 +99,7 @@ def suspension_lengths(sub: Substitution) -> LengthVector:
     """
     if sub.dim != 1:
         raise ValueError("the suspension tiling is built from 1-d substitutions")
-    rep = admissibility_report(sub)
-    if not rep.admissible:
-        raise ValueError("substitution is not admissible: " + "; ".join(rep.failures))
+    require_admissible(sub)
     M = substitution_matrix(sub)
     pd = perron_vectors(M, side="left", normalization="min")
     xi, rho = pd.vec, pd.rho
@@ -337,10 +335,7 @@ def default_seed(sub: Substitution, letter: Union[int, str, None] = None) -> Gri
     if sub.dim != 2:
         raise ValueError("grid patches need a 2-d substitution")
     if letter is None:
-        rep = admissibility_report(sub)
-        if not rep.admissible:
-            raise ValueError(
-                "substitution is not admissible: " + "; ".join(rep.failures))
+        rep = require_admissible(sub)
         if len(rep.b_letters) != 1:
             raise ValueError("several B letters; pass the seed letter explicitly")
         letter = rep.b_letters[0]

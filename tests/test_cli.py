@@ -118,6 +118,41 @@ def test_second_order_coverage_exit(tmp_path):
     assert code == 4
 
 
+def test_second_order_level_too_low_for_the_hole(tmp_path, capsys):
+    # at level 6 every centre far enough from the edge for R 243 lies in
+    # the carpet's central hole, so all draws are rejected
+    code = run("second-order", "--config", fixture_path("carpet"),
+               "--R", 243, "--level", 6, "--c", 0.6357,
+               "--replicas", 1, "--out", tmp_path)
+    assert code == 4
+    assert not (tmp_path / "second_order.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("coverage: ")
+    assert "--level" in err[0]
+
+
+@pytest.mark.parametrize("size", [("--n", 2), ("--R", 2)])
+def test_second_order_one_point_grid_summary(tmp_path, size):
+    code = run("second-order", "--config", fixture_path("cantor"), *size,
+               "--c", 0.47, "--replicas", 3, "--out", tmp_path)
+    assert code == 0
+    doc = read_json(tmp_path / "second_order.json")
+    assert doc["final_decade_partial"] == doc["final_partial"]
+    assert doc["relative_error_final_decade"] == doc["relative_error_final"]
+    assert "oscillation_last_decade" not in doc
+    assert len((tmp_path / "second_order.csv").read_text().splitlines()) == 2
+
+
+def test_second_order_summary_of_a_longer_grid(tmp_path):
+    code = run("second-order", "--config", fixture_path("cantor"), "--n", 3 ** 5,
+               "--c", 0.47, "--replicas", 3, "--out", tmp_path)
+    assert code == 0
+    doc = read_json(tmp_path / "second_order.json")
+    assert doc["final_decade_partial"] != doc["final_partial"]
+    assert doc["oscillation_last_decade"] > 0.0
+    assert doc["engine"] == "symbolic" and doc["c_used"] == 0.47
+
+
 def test_second_order_2d_needs_R(tmp_path):
     code = run("second-order", "--config", fixture_path("carpet"),
                "--n", 100, "--c", 0.7, "--out", tmp_path)
@@ -208,6 +243,7 @@ def test_frequency_run(tmp_path):
     assert code == 0
     doc = read_json(tmp_path / "frequency.json")
     assert doc["target"] == pytest.approx(np.log(2) / np.log(3) * 0.48, rel=1e-12)
+    assert (doc["engine"], doc["letter"]) == ("frequency", 1) and "c_used" not in doc
     assert (tmp_path / "frequency.csv").exists()
 
 
@@ -221,7 +257,8 @@ def test_logfreq_run(tmp_path):
     code = run("logfreq", "--config", fixture_path("cantor"),
                "--a", "0", "--n", 3 ** 5, "--replicas", 2, "--out", tmp_path)
     assert code == 0
-    assert (tmp_path / "logfreq.json").exists()
+    doc = read_json(tmp_path / "logfreq.json")
+    assert (doc["engine"], doc["letter"], doc["alpha"]) == ("logfreq", 0, 1.0)
 
 
 def test_distribution_run(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
-                       TransversalSampler, TwoSidedWord, admissibility_report,
-                       alpha_exponent, alpha_frequency,
+                       SecondOrderSeries, TransversalSampler, TwoSidedWord,
+                       admissibility_report, alpha_exponent, alpha_frequency,
                        birkhoff_prefix_sums, build_graph,
                        distribution_experiment, expand_grid, iterate,
                        log_frequency, mass_observable, mass_vector,
@@ -314,6 +314,15 @@ def test_series_csv_and_oscillation(cantor_orbit, cantor, cantor_ws):
         s.final_decade(width=1.0)
 
 
+def test_series_summary_needs_two_points(cantor_orbit, cantor):
+    s = second_order_symbolic(cantor_orbit, _ind(1), alpha_exponent(cantor), 0.5, 2)
+    assert s.grid.tolist() == [2]
+    with pytest.raises(ValueError, match="final decade"):
+        s.final_decade()
+    with pytest.raises(ValueError, match="oscillation"):
+        s.last_decade_oscillation()
+
+
 # ---- letter frequencies ----
 
 def test_alpha_frequency_no_occurrence(cantor):
@@ -330,6 +339,23 @@ def test_alpha_frequency_target(cantor, cantor_orbit, cantor_ws):
     with pytest.raises(ValueError, match="no finite cylinder measure"):
         alpha_frequency(cantor_orbit, 0, alpha, 3 ** 6, c=0.5,
                         norm=cantor_ws.norm)
+
+
+def test_every_engine_returns_one_series_type(cantor, cantor_orbit, cantor_ws):
+    alpha = alpha_exponent(cantor)
+    so = second_order_symbolic(cantor_orbit, _ind(1), alpha, 0.5, 3 ** 6)
+    fs = alpha_frequency(cantor_orbit, 1, alpha, 3 ** 6, c=0.5, norm=cantor_ws.norm)
+    lf = log_frequency(cantor_orbit, 0, 3 ** 6)
+    for s in (so, fs, lf):
+        assert type(s) is SecondOrderSeries
+    assert (so.kind, so.c_used, so.letter) == ("symbolic", 0.5, None)
+    # frequencies are not divided by c; it only enters their target
+    assert (fs.kind, fs.c_used, fs.letter) == ("frequency", None, 1)
+    assert (lf.kind, lf.c_used, lf.letter, lf.alpha) == ("logfreq", None, 0, 1.0)
+    assert fs.grid.dtype == np.int64
+    assert fs.csv().splitlines()[1].startswith(f"{fs.grid[0]},")
+    bare = SecondOrderSeries(grid=[2, 4], partials=[1.0, 2.0], target=None, alpha=0.5)
+    assert (bare.c_used, bare.kind, bare.letter) == (None, "", None)
 
 
 def test_log_frequency_cantor_values(cantor_orbit):
@@ -670,6 +696,34 @@ def test_transversal_patch_coverage_message(carpet, carpet_ws):
     sampler = TransversalSampler(carpet, carpet_ws.graph, carpet_ws.mass, 0)
     with pytest.raises(CoverageError, match="needs level >= 5"):
         sampler.patch(2, 81.0)
+
+
+def test_transversal_patch_draws_exhausted(carpet, carpet_ws):
+    # R 243 at level 6: the centres 244 cells clear of the edge all lie in
+    # the carpet's central hole, so every draw is rejected
+    sampler = TransversalSampler(carpet, carpet_ws.graph, carpet_ws.mass, 1)
+    with pytest.raises(CoverageError, match=r"raise the level \(--level\)"):
+        sampler.patch(6, 243.0)
+
+
+def test_addressed_batch_draws_exhausted(cantor, cantor_ws, monkeypatch):
+    sampler = TransversalSampler(cantor, cantor_ws.graph, cantor_ws.mass, 1)
+    monkeypatch.setattr(sampler, "_MAX_DRAWS", 0)
+    with pytest.raises(CoverageError, match="draw batches left 3 of 3"):
+        sampler.addressed_batch(3, 10)
+
+
+def test_sampler_prefix_populations(subs):
+    """Per edge, the letter counts before its occurrence in the source image."""
+    for name in ADMISSIBLE_1D:
+        sub = subs[name]
+        g = build_graph(sub)
+        mass = mass_vector(g, transverse_weights(sub).xi_tr)
+        sampler = TransversalSampler(sub, g, mass, 0)
+        for e in range(g.n_edges):
+            img = sub.image(g.letter_ids[int(g.edge_src[e])]).tolist()
+            want = [img[:int(g.edge_pos[e])].count(a) for a in range(sub.n_letters)]
+            assert sampler._pref[e].tolist() == want
 
 
 def test_window_labels_match_full_expansion(carpet):

@@ -191,6 +191,24 @@ def test_graph_edge_containment(cantor_ws, cantor1001_ws, carpet_ws):
             assert (lo >= -g.sup_half[s] - 1e-9).all()
 
 
+def test_graph_edge_pos_is_the_image_layout(subs):
+    """edge_pos lists, per source vertex, where its B letters sit in the image."""
+    for name in ADMISSIBLE_1D + ["carpet"]:
+        sub = subs[name]
+        g = build_graph(sub)
+        for v, letter in enumerate(g.letter_ids):
+            img = sub.image(letter) if sub.dim == 1 else sub.grid(letter).ravel()
+            pos = g.edge_pos[g.out_edges[v]]
+            assert pos.tolist() == np.flatnonzero(np.isin(img, g.letter_ids)).tolist()
+            dst = np.asarray(g.letter_ids)[g.edge_dst[g.out_edges[v]]]
+            assert img[pos].tolist() == dst.tolist()
+    carpet = build_graph(subs["carpet"])
+    rows, cols = np.divmod(carpet.edge_pos, 3)
+    # u = (col + 1/2 - q/2, q/2 - row - 1/2)
+    assert (carpet.edge_u[:, 0] == cols - 1.0).all()
+    assert (carpet.edge_u[:, 1] == 1.0 - rows).all()
+
+
 def test_graph_edge_multiplicity(cantor1001_ws):
     g = cantor1001_ws.graph
     assert g.B.tolist() == [[2]]

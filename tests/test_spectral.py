@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from subtiling import (admissibility_report, alpha_exponent, fixture_path,
-                       is_primitive, length_asymptotics_check,
-                       load_matrix_config, matrix_report, normal_form,
-                       perron_vectors, snap_rational_eigenpair,
-                       spectral_radius, substitution_matrix)
+from subtiling import (MassVector, Observable, admissibility_report,
+                       alpha_exponent, build_graph, default_seed,
+                       distribution_experiment, fixture_path, is_primitive,
+                       length_asymptotics_check, load_matrix_config,
+                       matrix_report, measure_normalization, normal_form,
+                       perron_vectors, require_admissible,
+                       snap_rational_eigenpair, spectral_radius,
+                       substitution_matrix, suspension_lengths,
+                       transverse_weights)
+from subtiling.substitution import parse_substitution
 
 from conftest import ADMISSIBLE_1D, rng
 
@@ -249,3 +254,36 @@ def test_matrix_config_requires_keys(tmp_path):
     p.write_text('{"matrix": [[2]]}')
     with pytest.raises(ValueError, match="lambda"):
         load_matrix_config(str(p))
+
+
+# ---- the admissibility gate ----
+
+_BORDER_A_2D = parse_substitution(
+    '{"alphabet": ["0", "1"], "dim": 2, "rules": {"0": ["000", "000", "000"], '
+    '"1": ["111", "101", "110"]}}')
+
+
+def test_require_admissible_returns_the_report(cantor):
+    rep = require_admissible(cantor)
+    assert rep.admissible and rep.alpha == admissibility_report(cantor).alpha
+
+
+def test_one_admissibility_message(subs):
+    """Every entry point that needs admissibility raises the gate's one line."""
+    openq1, dummy = subs["openq1"], np.ones(1)
+    calls = [
+        (openq1, lambda: require_admissible(openq1)),
+        (openq1, lambda: alpha_exponent(openq1)),
+        (openq1, lambda: build_graph(openq1)),
+        (openq1, lambda: transverse_weights(openq1)),
+        (openq1, lambda: measure_normalization(openq1, None, dummy, MassVector(dummy))),
+        (openq1, lambda: suspension_lengths(openq1)),
+        (openq1, lambda: distribution_experiment(openq1, Observable(np.ones(3)), 1, 1)),
+        (_BORDER_A_2D, lambda: default_seed(_BORDER_A_2D)),
+    ]
+    for sub, call in calls:
+        failures = admissibility_report(sub).failures
+        assert failures
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "substitution is not admissible: " + "; ".join(failures)
