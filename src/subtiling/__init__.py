@@ -9,14 +9,14 @@ from .substitution import (AccordionForm, ConfigError, LengthCapError,
                            fixed_point_seeds, in_language, iterate,
                            load_substitution, orbit_generate,
                            population_vector, power, substitution_matrix,
-                           word_from_str, word_to_str)
+                           supertile_lengths, word_from_str, word_to_str)
 from .spectral import (AdmissibilityReport, BlockStructure, LengthAsymptotics,
                        MatrixConfig, PerronData, admissibility_report,
                        alpha_exponent, is_primitive, length_asymptotics_check,
                        load_matrix_config, matrix_report, normal_form,
                        perron_vectors, require_admissible,
                        snap_rational_eigenpair, spectral_radius)
-from .gdifs import (BracketPrecisionError, DensityEstimate, Edge, GdifsGraph,
+from .gdifs import (BracketPrecisionError, DensityEstimate, GdifsGraph,
                     MarkovSampler, MassVector, PathPrefix, ZoomCursor,
                     average_density_birkhoff, average_density_pointwise,
                     ball_measure_bracket, build_graph, cylinder_measure,

@@ -35,7 +35,7 @@ from .gdifs import GdifsGraph, MarkovSampler, MassVector, build_graph, mass_vect
 from .spectral import perron_vectors, require_admissible
 from .substitution import (LENGTH_CAP, LengthCapError, Substitution,
                            TwoSidedWord, expand_grid, iterate,
-                           substitution_matrix)
+                           substitution_matrix, supertile_lengths)
 from .tiling import (CoverageError, GridPatch, LengthVector, Tiling1DWindow,
                      ball_weight_scan, suspension_lengths)
 
@@ -772,31 +772,31 @@ class TransversalSampler:
                 np.bincount(sub.image(int(self._letters[v]))[:pos],
                             minlength=sub.n_letters)
                 for v, pos in zip(graph.edge_src.tolist(), graph.edge_pos.tolist())])
-            self._M = substitution_matrix(sub).astype(np.int64)
-            self._L = [np.ones(sub.n_letters, dtype=np.int64)]
         else:
             self._erow, self._ecol = np.divmod(graph.edge_pos, sub.q)
         self._words: dict[tuple[int, int], np.ndarray] = {}
 
     # -- 1-d addressing --
 
-    def _lengths(self, level: int) -> np.ndarray:
-        while len(self._L) <= level:
-            nxt = self._L[-1] @ self._M
-            if (nxt > 4 * LENGTH_CAP).any():
-                raise LengthCapError("supertile length exceeds the cap")
-            self._L.append(nxt)
-        return self._L[level]
+    def _depth_for(self, span: int) -> tuple[int, list[tuple[int, ...]]]:
+        """Least level whose B-letter supertiles all hold _MARGIN * span
+        letters, with the supertile lengths of levels 0..depth.
 
-    def _depth_for(self, span: int) -> int:
+        Lengths never shrink with the level, so the search stops at the
+        first level whose longest B-letter supertile exceeds the cap.
+        """
         level = 1
         while True:
-            ln = self._lengths(level)[self._letters]
-            if ln.min() >= self._MARGIN * span:
-                if ln.max() > LENGTH_CAP:
-                    raise LengthCapError(
-                        f"span {span} needs supertile words beyond the cap")
-                return level
+            rows = supertile_lengths(self.sub, level)
+            ln = {a: rows[level][a] for a in self._letters.tolist()}
+            a = max(ln, key=ln.get)
+            if ln[a] > LENGTH_CAP:
+                raise LengthCapError(
+                    "supertiles pass the cap before they are long enough for "
+                    f"the span: sigma^{level}({self.sub.letters[a]}) has "
+                    f"length {ln[a]} > cap {LENGTH_CAP}")
+            if min(ln.values()) >= self._MARGIN * span:
+                return level, rows
             level += 1
 
     def _word(self, letter: int, level: int) -> np.ndarray:
@@ -817,10 +817,13 @@ class TransversalSampler:
             raise ValueError("symbolic addressing needs a 1-d substitution")
         if span < 1:
             raise ValueError("span must be positive")
-        depth = self._depth_for(span)
-        lens = self._lengths(depth)
-        off = self._pref @ np.stack([self._lengths(depth - 1 - k)
-                                     for k in range(depth)], axis=1)
+        depth, rows = self._depth_for(span)
+        # exact products: A-letter lengths can outgrow int64, but every
+        # offset is a position inside a level-depth B supertile
+        off = (self._pref @ np.array(rows[depth - 1::-1], dtype=object).T
+               ).astype(np.int64)
+        lens = np.array([rows[depth][a] for a in self._letters.tolist()],
+                        dtype=np.int64)
         out_letter = np.empty(count, dtype=np.int64)
         out_pos = np.empty(count, dtype=np.int64)
         filled = 0
@@ -832,7 +835,7 @@ class TransversalSampler:
             starts, edges = self._sampler.sample_paths(want, depth)
             pos = off[edges, np.arange(depth)].sum(axis=1)
             letters = self._letters[starts]
-            ok = pos + span <= lens[letters]
+            ok = pos + span <= lens[starts]
             n_ok = int(ok.sum())
             resampled += want - n_ok
             out_letter[filled: filled + n_ok] = letters[ok]

@@ -23,7 +23,6 @@ from .spectral import perron_vectors, require_admissible, snap_rational_eigenpai
 from .substitution import Substitution, substitution_matrix
 
 __all__ = [
-    "Edge",
     "GdifsGraph",
     "MassVector",
     "PathPrefix",
@@ -48,13 +47,6 @@ class BracketPrecisionError(RuntimeError):
     """Raised when a bracket query exceeds its active-set budget."""
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    u: np.ndarray  # displacement in the inflated tile, shape (dim,)
-
-
 @dataclass(eq=False)
 class GdifsGraph:
     dim: int
@@ -64,7 +56,6 @@ class GdifsGraph:
     letter_ids: tuple[int, ...]      # global letter id per vertex
     letter_names: tuple[str, ...]
     sup_half: np.ndarray             # (m, dim) half-extents of the prototile supports
-    edges: list[Edge]
     edge_src: np.ndarray             # (E,)
     edge_dst: np.ndarray             # (E,)
     edge_u: np.ndarray               # (E, dim)
@@ -73,7 +64,6 @@ class GdifsGraph:
     B: np.ndarray                    # restriction of the substitution matrix
     overlap: bool
     exact_geometry: bool = False     # lambda and displacements exact in float64
-    xi: np.ndarray | None = None     # full tile-length vector (dim 1 only)
 
     @property
     def n_vertices(self) -> int:
@@ -81,7 +71,7 @@ class GdifsGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_src)
 
     def vertex_of_letter(self, letter: int) -> int:
         return self.letter_ids.index(letter)
@@ -100,7 +90,7 @@ class GdifsGraph:
         return out
 
 
-def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
+def build_graph(sub: Substitution) -> GdifsGraph:
     """Construct the contraction graph of an admissible substitution.
 
     Raises ValueError when the admissibility report has failures or when
@@ -118,9 +108,7 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
 
     xi_fr = None
     if sub.dim == 1:
-        if xi is None:
-            xi = perron_vectors(substitution_matrix(sub), side="left", normalization="min").vec
-        xi = np.asarray(xi, dtype=float)
+        xi = perron_vectors(substitution_matrix(sub), side="left", normalization="min").vec
         snapped = snap_rational_eigenpair(substitution_matrix(sub), xi, lam)
         if snapped is not None:
             xi_fr, lam_fr = snapped
@@ -128,12 +116,10 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
             lam = float(lam_fr)
         sup_half = np.array([[xi[g] / 2.0] for g in b_letters])
     else:
-        xi = None
         sup_half = np.full((m, 2), 0.5)
 
     exact = sub.dim == 2 or xi_fr is not None
-    edges: list[Edge] = []
-    edge_pos: list[int] = []
+    edges: list[tuple[int, int, np.ndarray, int]] = []   # (src, dst, u, pos)
     out_edges: list[list[int]] = [[] for _ in range(m)]
     for s_local, gs in enumerate(b_letters):
         if sub.dim == 1:
@@ -168,10 +154,8 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
                     u = np.array([centers[pos]])
                     if abs(u[0]) + xi[g] / 2.0 > lam * xi[gs] / 2.0 + _GEOM_TOL:
                         raise ValueError("child tile leaves the inflated prototile")
-                    eid = len(edges)
-                    edges.append(Edge(s_local, r_local, u))
-                    edge_pos.append(pos)
-                    out_edges[s_local].append(eid)
+                    out_edges[s_local].append(len(edges))
+                    edges.append((s_local, r_local, u, pos))
                     M[r_local, s_local] += 1
         else:
             grid = sub.grid(gs)
@@ -182,26 +166,23 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
                     if g in local:
                         r_local = local[g]
                         u = np.array([j + 0.5 - q / 2.0, q / 2.0 - i - 0.5])
-                        eid = len(edges)
-                        edges.append(Edge(s_local, r_local, u))
-                        edge_pos.append(i * q + j)
-                        out_edges[s_local].append(eid)
+                        out_edges[s_local].append(len(edges))
+                        edges.append((s_local, r_local, u, i * q + j))
                         M[r_local, s_local] += 1
 
-    edge_src = np.array([e.src for e in edges], dtype=np.int64)
-    edge_dst = np.array([e.dst for e in edges], dtype=np.int64)
-    edge_u = np.stack([e.u for e in edges]).astype(float)
+    src, dst, us, pos = zip(*edges)
+    edge_src = np.array(src, dtype=np.int64)
+    edge_dst = np.array(dst, dtype=np.int64)
+    edge_u = np.stack(us).astype(float)
+    out_edges = [np.array(ids, dtype=np.int64) for ids in out_edges]
 
+    # two children of one vertex overlap when their supports meet on every axis
     overlap = False
-    for v in range(m):
-        ids = out_edges[v]
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                ea, eb = edges[ids[a]], edges[ids[b]]
-                ha = sup_half[ea.dst]
-                hb = sup_half[eb.dst]
-                if np.all(np.abs(ea.u - eb.u) < ha + hb - _GEOM_TOL):
-                    overlap = True
+    for ids in out_edges:
+        gap = np.abs(edge_u[ids, None] - edge_u[None, ids])
+        half = sup_half[edge_dst[ids]]
+        hit = (gap < half[:, None] + half[None, :] - _GEOM_TOL).all(axis=-1)
+        overlap |= bool(np.triu(hit, 1).any())
 
     return GdifsGraph(
         dim=sub.dim,
@@ -211,16 +192,14 @@ def build_graph(sub: Substitution, xi: np.ndarray | None = None) -> GdifsGraph:
         letter_ids=tuple(int(g) for g in b_letters),
         letter_names=tuple(sub.letters[g] for g in b_letters),
         sup_half=sup_half,
-        edges=edges,
         edge_src=edge_src,
         edge_dst=edge_dst,
         edge_u=edge_u,
-        edge_pos=np.array(edge_pos, dtype=np.int64),
-        out_edges=[np.array(ids, dtype=np.int64) for ids in out_edges],
+        edge_pos=np.array(pos, dtype=np.int64),
+        out_edges=out_edges,
         B=M,
         overlap=overlap,
         exact_geometry=exact,
-        xi=xi,
     )
 
 

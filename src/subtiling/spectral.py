@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .substitution import Substitution, expand_grid, substitution_matrix
+from .substitution import (Substitution, expand_grid, substitution_matrix,
+                           supertile_lengths)
 from .substitution import apply as sub_apply
 
 __all__ = [
@@ -165,7 +166,7 @@ def normal_form(M: np.ndarray, tol: float = 1e-12) -> BlockStructure:
             radii.append(0.0)
         else:
             kinds.append("primitive" if is_primitive(D) else "imprimitive")
-            radii.append(_power_radius(D, tol))
+            radii.append(float(perron_vectors(D, side="right", tol=tol).rho))
         minimal.append(len(out[c]) == 0)
     block_of = np.empty(n, dtype=np.int64)
     for i, blk in enumerate(blocks):
@@ -234,29 +235,6 @@ def _polish_pair(A: np.ndarray, rho: float, v: np.ndarray,
         if r <= 1e-15:
             break
     return best
-
-
-def _power_radius(B: np.ndarray, tol: float = 1e-12, max_iter: int = 100_000) -> float:
-    """Spectral radius of an irreducible nonnegative block via (I + B) iteration."""
-    B = np.asarray(B, dtype=np.float64)
-    n = B.shape[0]
-    if n == 1:
-        return float(B[0, 0])
-    if not B.any():
-        return 0.0
-    P = B + np.eye(n)
-    v = np.ones(n)
-    prev = 0.0
-    for it in range(max_iter):
-        w = P @ v
-        cur = w.sum() / v.sum()
-        v = w / w.sum()
-        if it and abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return _polish_pair(B, cur - 1.0, v)[0]
-        prev = cur
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} steps; "
-        f"last estimates {prev - 1.0!r}, {cur - 1.0!r}")
 
 
 def snap_rational_eigenpair(M: np.ndarray, xi: np.ndarray, lam: float):
@@ -594,15 +572,9 @@ def length_asymptotics_check(sub: Substitution, k_max: int = 12) -> LengthAsympt
     """Table of |sigma^k(i)| / (xi_i rho(A)^k) for k = 0..k_max (exact lengths)."""
     if sub.dim != 1:
         raise ValueError("length asymptotics are 1-d")
-    M = substitution_matrix(sub)
-    pd = perron_vectors(M, side="left", normalization="min")
-    n = sub.n_letters
-    Mint = [[int(M[i, j]) for j in range(n)] for i in range(n)]
-    counts = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # counts[j] = ell(sigma^0(j))
-    ratios = np.empty((n, k_max + 1))
-    for k in range(k_max + 1):
-        for j in range(n):
-            ratios[j, k] = float(sum(counts[j])) / (pd.vec[j] * pd.rho ** k)
-        counts = [[sum(Mint[i][t] * counts[j][t] for t in range(n)) for i in range(n)]
-                  for j in range(n)]
+    pd = perron_vectors(substitution_matrix(sub), side="left", normalization="min")
+    rows = supertile_lengths(sub, k_max)
+    ratios = np.array([[float(row[j]) / (pd.vec[j] * pd.rho ** k)
+                        for k, row in enumerate(rows)]
+                       for j in range(sub.n_letters)])
     return LengthAsymptotics(np.arange(k_max + 1), ratios, pd.vec.copy(), pd.rho)

@@ -8,6 +8,7 @@ through ``bincount``.
 from __future__ import annotations
 
 import json
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -28,6 +29,7 @@ __all__ = [
     "apply",
     "iterate",
     "power",
+    "supertile_lengths",
     "population_vector",
     "substitution_matrix",
     "in_language",
@@ -215,10 +217,11 @@ def apply(sub: Substitution, w: np.ndarray) -> np.ndarray:
     """One substitution step on a word (dim 1).
 
     One gather from the padded image table.  Its working memory is one
-    intp index per letter of w plus len(w) * max_rule_len bytes, the
-    product the callers check against the length cap.  Row-major
-    boolean selection keeps the letter order when images have unequal
-    lengths.
+    intp index per letter of w plus len(w) * max_rule_len bytes; the
+    word builders check the exact length of the word they are about to
+    build, read from supertile_lengths, against the length cap.
+    Row-major boolean selection keeps the letter order when images have
+    unequal lengths.
     """
     if sub.dim != 1:
         raise ValueError("apply works on 1-d words; use tiling.grid_patch for dim 2")
@@ -231,29 +234,46 @@ def apply(sub: Substitution, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _predicted_lengths(sub: Substitution, a: int, n: int) -> int:
-    # exact integer arithmetic; lengths can exceed int64 long before the cap check
-    counts = [0] * sub.n_letters
-    counts[a] = 1
-    M = substitution_matrix(sub)
-    for _ in range(n):
-        counts = [sum(int(M[i, j]) * counts[j] for j in range(sub.n_letters))
-                  for i in range(sub.n_letters)]
-        if sum(counts) > 100 * LENGTH_CAP:
-            break
-    return sum(counts)
+_lengths_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def supertile_lengths(sub: Substitution, n: int) -> list[tuple[int, ...]]:
+    """Exact supertile sizes |sigma^k(a)| as Python ints, rows k = 0..n.
+
+    Row k has one entry per letter and row k+1 = row k . M, since
+    sigma^(k+1)(a) is the concatenation of sigma^k(b) over the letters b
+    of sigma(a).  In dim 2 an entry counts the cells of the level-k grid.
+    Rows are cached per substitution instance; the cache is replaced,
+    never extended in place, so concurrent callers read whole tables.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    rows = list(_lengths_cache.get(sub, [(1,) * sub.n_letters]))
+    if len(rows) <= n:
+        cols = substitution_matrix(sub).T.tolist()
+        while len(rows) <= n:
+            prev = rows[-1]
+            rows.append(tuple(sum(m * p for m, p in zip(col, prev)) for col in cols))
+        _lengths_cache[sub] = tuple(rows)
+    return rows[:n + 1]
+
+
+def _check_cap(sub: Substitution, a: int, n: int, cap: int) -> None:
+    size = supertile_lengths(sub, n)[n][a]
+    if size > cap:
+        unit = "length" if sub.dim == 1 else "cell count"
+        # str() refuses ints beyond 4300 digits
+        shown = (str(size) if size.bit_length() <= 1000
+                 else f"about 10^{int(size.bit_length() * math.log10(2))}")
+        raise LengthCapError(
+            f"sigma^{n}({sub.letters[a]}) has {unit} {shown} > cap {cap}")
 
 
 def iterate(sub: Substitution, a: int, n: int, cap: int = LENGTH_CAP) -> np.ndarray:
     """sigma^n(a) as a word (dim 1).  Raises LengthCapError beyond ``cap``."""
     if sub.dim != 1:
         raise ValueError("iterate works on 1-d words")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    predicted = _predicted_lengths(sub, a, n)
-    if predicted > cap:
-        raise LengthCapError(
-            f"sigma^{n}({sub.letters[a]}) has length {predicted} > cap {cap}")
+    _check_cap(sub, a, n, cap)
     w = _as_word([a])
     for _ in range(n):
         w = apply(sub, w)
@@ -261,19 +281,22 @@ def iterate(sub: Substitution, a: int, n: int, cap: int = LENGTH_CAP) -> np.ndar
 
 
 def power(sub: Substitution, k: int, cap: int = LENGTH_CAP) -> Substitution:
-    """The substitution sigma^k (rule images iterated k times)."""
+    """The substitution sigma^k (rule images iterated k times).
+
+    Raises LengthCapError when an image would hold more than ``cap``
+    letters (dim 1) or cells (dim 2).
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if sub.dim == 1:
         images = tuple(iterate(sub, a, k, cap=cap) for a in range(sub.n_letters))
         return Substitution(sub.letters, 1, images, source=sub.source)
+    _check_cap(sub, 0, k, cap)
     grids = []
     for a in range(sub.n_letters):
         g = sub.grids[a]
         for _ in range(k - 1):
             g = expand_grid(sub, g)
-        if g.shape[0] > 10**5:
-            raise LengthCapError(f"grid side {g.shape[0]} too large")
         g = g.copy()
         g.flags.writeable = False
         grids.append(g)
@@ -323,22 +346,19 @@ def in_language(sub: Substitution, w: np.ndarray, max_depth: int = 8,
         raise ValueError("in_language works on 1-d words")
     if len(w) == 0:
         return True, None
-    target = np.asarray(w, dtype=np.uint8).tobytes()
-    level = [sub.images[a] for a in range(sub.n_letters)]
-    for n in range(1, max_depth + 1):
-        for a in range(sub.n_letters):
-            if level[a].tobytes().find(target) >= 0:
-                return True, (a, n)
-        if n < max_depth:
-            if max(len(v) for v in level) * sub.max_rule_len > cap:
-                break
-            level = [apply(sub, v) for v in level]
-    return False, None
+    try:
+        a, n, _ = _occurrence_witness(sub, w, max_depth, cap)
+    except NotInLanguageError:
+        return False, None
+    return True, (a, n)
 
 
 def _occurrence_witness(sub: Substitution, w: np.ndarray, max_depth: int,
                         cap: int = LENGTH_CAP) -> tuple[int, int, int]:
-    """(letter, depth, leftmost offset) for the first BFS witness."""
+    """(letter, depth, leftmost offset) for the first BFS witness.
+
+    The search stops early when a level-(n+1) supertile would exceed ``cap``.
+    """
     target = np.asarray(w, dtype=np.uint8).tobytes()
     level = [sub.images[a] for a in range(sub.n_letters)]
     for n in range(1, max_depth + 1):
@@ -347,7 +367,7 @@ def _occurrence_witness(sub: Substitution, w: np.ndarray, max_depth: int,
             if p >= 0:
                 return a, n, p
         if n < max_depth:
-            if max(len(v) for v in level) * sub.max_rule_len > cap:
+            if max(supertile_lengths(sub, n + 1)[n + 1]) > cap:
                 break
             level = [apply(sub, v) for v in level]
     raise NotInLanguageError(
@@ -452,9 +472,8 @@ def _supertile_levels(sub: Substitution, a: int, k: int) -> list[np.ndarray]:
     if levels is None:
         levels = [_as_word([a])]
         per_sub[a] = levels
+    _check_cap(sub, a, k, LENGTH_CAP)
     while len(levels) <= k:
-        if len(levels[-1]) * sub.max_rule_len > LENGTH_CAP:
-            raise LengthCapError("supertile exceeds length cap")
         levels.append(apply(sub, levels[-1]))
     return levels[:k + 1]
 

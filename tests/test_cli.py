@@ -32,7 +32,10 @@ def test_analyze_admissible(tmp_path):
 def test_analyze_inadmissible_still_writes(tmp_path):
     assert run("analyze", "--config", fixture_path("openq1"), "--out", tmp_path) == 2
     doc = read_json(tmp_path / "analyze.json")
-    assert doc["report"]["failures"]
+    # block radii are plain floats, so no numpy repr leaks into the text
+    assert doc["report"]["failures"][0].startswith(
+        "A part not single-radius: minimal classes have radii [5.0, 4.0];")
+    assert doc["report"]["rho_A"] == 5.0
 
 
 def test_analyze_matrix_config(tmp_path):

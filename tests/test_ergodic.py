@@ -679,8 +679,13 @@ def test_transversal_orbit_is_in_language(cantor, cantor_ws):
 
 def test_transversal_orbit_length_cap(cantor, cantor_ws):
     sampler = TransversalSampler(cantor, cantor_ws.graph, cantor_ws.mass, 0)
-    with pytest.raises(LengthCapError):
+    # 4 * (3^19 + 1) letters need level 21; level 17 already passes the cap
+    with pytest.raises(LengthCapError,
+                       match=rf"sigma\^17\(1\) has length {3 ** 17} > cap"):
         sampler.orbit(3 ** 19)
+    # a span far beyond the cap stops at the same level, not at its own
+    with pytest.raises(LengthCapError, match=r"sigma\^17\(1\)"):
+        sampler.orbit(3 ** 10 ** 5)
 
 
 def test_transversal_patch_addressed_cell(carpet, carpet_ws):

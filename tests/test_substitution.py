@@ -8,10 +8,10 @@ from subtiling import (ConfigError, LengthCapError, accordion_decompose,
                        apply, fixed_point_seeds, fixture_path, in_language,
                        iterate, load_substitution, orbit_generate,
                        population_vector, power, substitution_matrix,
-                       word_from_str, word_to_str)
+                       supertile_lengths, word_from_str, word_to_str)
 from subtiling.substitution import _as_word, parse_substitution
 
-from conftest import rng
+from conftest import admissible_substitutions_1d, rng
 
 CANTOR_M = np.array([[3, 1], [0, 2]])
 
@@ -65,9 +65,48 @@ def test_iterate_counts(cantor):
     assert int((w == 1).sum()) == 2 ** 10
 
 
-def test_iterate_cap_reports_predicted_length(cantor):
-    with pytest.raises(LengthCapError, match=str(3 ** 20)):
-        iterate(cantor, 0, 20)
+@pytest.mark.parametrize("n", [20, 25])
+def test_iterate_cap_reports_predicted_length(cantor, n):
+    with pytest.raises(LengthCapError, match=f"length {3 ** n} > cap"):
+        iterate(cantor, 0, n)
+
+
+def test_iterate_cap_names_lengths_beyond_str_limit(cantor):
+    # 3^10000 has 4772 digits, more than str() converts by default
+    with pytest.raises(LengthCapError, match=r"length about 10\^4771 > cap"):
+        iterate(cantor, 0, 10000)
+
+
+def test_supertile_lengths_exact_beyond_int64(cantor1001):
+    rows = supertile_lengths(cantor1001, 60)
+    assert rows[0] == (1, 1) and rows[2] == (9, 14)
+    assert rows[60][0] == 3 ** 60 > 2 ** 63
+    # |sigma^k(1)| = 2 * 3^k - 2^k: two ones seed 2^k copies of the 1001 pattern
+    assert rows[60][1] == 2 * 3 ** 60 - 2 ** 60
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=admissible_substitutions_1d(), k=st.integers(1, 4), data=st.data())
+def test_supertile_lengths_power_and_language(sub, k, data):
+    """Exact lengths, the power homomorphism and subword witnesses agree
+    with the words that iterate builds."""
+    rows = supertile_lengths(sub, k)
+    M = substitution_matrix(sub)
+    assert np.array_equal(substitution_matrix(power(sub, k)),
+                          np.linalg.matrix_power(M, k))
+    for a in range(sub.n_letters):
+        w = iterate(sub, a, k)
+        assert rows[k][a] == len(w)
+        i = data.draw(st.integers(0, len(w) - 1))
+        j = data.draw(st.integers(i + 1, len(w)))
+        ok, witness = in_language(sub, w[i:j], max_depth=k)
+        assert ok and witness[1] <= k
+
+
+def test_power_2d_checks_cap_first(carpet):
+    with pytest.raises(LengthCapError, match="cell count 729 > cap 100"):
+        power(carpet, 3, cap=100)
+    assert power(carpet, 3, cap=729).q == 27
 
 
 # ---- apply / iterate against the list-concatenation oracle ----
@@ -184,6 +223,13 @@ def test_in_language_short_witness(cantor):
 def test_in_language_000101(cantor):
     ok, witness = in_language(cantor, word_from_str(cantor, "000101"))
     assert ok and witness == (1, 2)
+
+
+def test_in_language_cap_reads_exact_lengths(cantor1001):
+    # level-2 words hold at most 14 letters, below the 4 * 4 product bound
+    w = word_from_str(cantor1001, "0000")
+    assert in_language(cantor1001, w, cap=14) == (True, (0, 2))
+    assert in_language(cantor1001, w, cap=13) == (False, None)
 
 
 def test_in_language_monotone_and_subword_closed(cantor):
