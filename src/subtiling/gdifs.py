@@ -5,7 +5,10 @@ occurrences of those letters inside the inflated prototiles, and every
 map is the contraction x -> (x + u_e) / lambda.  On top of the graph:
 a Markov path sampler, rigorous ball-measure brackets, and the
 average-density estimator on one multiradius bracket kernel (exposed
-under two labels, pointwise and Birkhoff).
+under two labels, pointwise and Birkhoff).  The zoom cursor and the
+kernel hold their pieces in one layout, a (dim, n) array of centres per
+vertex, and the sampler takes each step for all paths from one padded
+edge table.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
 
@@ -304,30 +307,32 @@ class MarkovSampler:
         self.w = mass.h / mass.h.sum()
         self._rng = np.random.Generator(np.random.Philox(seed))
         self._start_cum = np.cumsum(self.w)
-        self._edge_cum = []
-        for v in range(graph.n_vertices):
-            ids = graph.out_edges[v]
+        # One edge table.  Column v of _cum holds the cumulative edge
+        # probabilities of vertex v, padded with +inf; row v of _ids holds
+        # its edge ids, padded with its last edge, which also takes a
+        # draw past the last cumulative probability.
+        width = max(len(ids) for ids in graph.out_edges) + 1
+        self._cum = np.full((width, graph.n_vertices), np.inf)
+        self._ids = np.empty((graph.n_vertices, width), dtype=np.int64)
+        for v, ids in enumerate(graph.out_edges):
             p = mass.h[graph.edge_dst[ids]] / (graph.rho_B * mass.h[v])
             total = p.sum()
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"edge probabilities at vertex {v} sum to {total}")
-            self._edge_cum.append(np.cumsum(p / total))
+            self._cum[: len(ids), v] = np.cumsum(p / total)
+            self._ids[v, : len(ids)] = ids
+            self._ids[v, len(ids) :] = ids[-1]
 
     def sample_paths(self, count: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         starts = np.searchsorted(self._start_cum, self._rng.random(count), side="right")
         starts = np.minimum(starts, self.graph.n_vertices - 1).astype(np.int64)
         edges = np.empty((count, length), dtype=np.int64)
-        state = starts.copy()
+        state = starts
         for step in range(length):
             draw = self._rng.random(count)
-            for v in range(self.graph.n_vertices):
-                sel = state == v
-                if not sel.any():
-                    continue
-                ids = self.graph.out_edges[v]
-                pick = np.searchsorted(self._edge_cum[v], draw[sel], side="right")
-                pick = np.minimum(pick, len(ids) - 1)
-                edges[sel, step] = ids[pick]
+            # entries <= draw in each path's column: searchsorted(side="right")
+            pick = (self._cum.take(state, axis=1) <= draw).sum(axis=0)
+            edges[:, step] = self._ids[state, pick]
             state = self.graph.edge_dst[edges[:, step]]
         return starts, edges
 
@@ -350,23 +355,18 @@ _COUNT_MIN = 1024
 # Pieces are kept grouped by vertex, one (dim, n) array of centres each:
 # the pieces of one vertex at one level share their half-extent and their
 # mass, so nothing is gathered per piece, and every array operation runs
-# along the long axis.
+# along the long axis.  The zoom cursor and the bracket kernel both hold
+# them this way.
 
-def _group(graph, vids, taus):
-    """Per-vertex (dim, n) centre arrays of the pieces (vids, taus)."""
-    vids = np.asarray(vids, dtype=np.int64)
-    taus = np.asarray(taus, dtype=float).reshape(len(vids), graph.dim)
-    return [np.ascontiguousarray(taus[vids == v].T) for v in range(graph.n_vertices)]
-
-
-def _split(graph, groups, scale_next):
-    """Replace every piece by its children, one level deeper."""
+def _split(graph, groups, offsets):
+    """Replace every piece by its children: the piece's centre plus the
+    offset of each out-edge, `offsets` holding one row per edge."""
     parts = [[] for _ in range(graph.n_vertices)]
     for v, taus in enumerate(groups):
         if taus.shape[1]:
             for w, ids in graph.fan[v]:
                 # siblings stay adjacent: searchsorted runs fastest on nearby keys
-                child = taus[:, :, None] + scale_next * graph.edge_u[ids].T[:, None, :]
+                child = taus[:, :, None] + offsets[ids].T[:, None, :]
                 parts[w].append(child.reshape(graph.dim, -1))
     joined = []
     for p in parts:
@@ -400,12 +400,14 @@ def ball_measure_bracket(
         raise ValueError("one-sided intervals need a one-dimensional graph")
     if not r >= 0:
         raise ValueError("radius must be nonnegative")
+    if not 0 <= vertex < graph.n_vertices:
+        raise ValueError(f"vertex {vertex} out of range")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.shape != (graph.dim,):
         raise ValueError(f"query point must have shape ({graph.dim},)")
-    lower, upper = _measures_multiradius(
-        graph, mass, np.array([vertex], dtype=np.int64), -x[None, :],
-        np.array([float(r)]), side, depth)
+    groups = [np.empty((graph.dim, 0)) for _ in range(graph.n_vertices)]
+    groups[vertex] = -x[:, None]
+    lower, upper = _measures_multiradius(graph, mass, groups, np.array([float(r)]), side, depth)
     return float(lower[0]), float(upper[0])
 
 
@@ -427,6 +429,8 @@ class ZoomCursor:
     per level.  For inexact geometries the recursion amplifies float
     error by lam per level, so the cursor tracks a drift bound and
     raises BracketPrecisionError once it could affect classifications.
+    D is grouped by vertex as the bracket kernel takes it: D[v] is the
+    (dim, n) array of the vertex-v pieces.
     """
 
     def __init__(self, graph: GdifsGraph, path: PathPrefix, terms: int = 60) -> None:
@@ -436,48 +440,42 @@ class ZoomCursor:
         self.path = path
         self.terms = terms
         self.level = 0
-        self.vids = np.array([path.start], dtype=np.int64)
-        self.D = np.zeros((1, graph.dim))
+        self.D = [np.zeros((graph.dim, int(v == path.start))) for v in range(graph.n_vertices)]
         self._tail_w = graph.lam ** (-np.arange(1, terms + 1, dtype=float))
         self._drift = 0.0
+
+    @property
+    def vids(self) -> np.ndarray:
+        """The vertex of every piece, group by group."""
+        return np.repeat(np.arange(self.graph.n_vertices), [d.shape[1] for d in self.D])
 
     def _tail(self) -> np.ndarray:
         ids = self.path.edges[self.level : self.level + self.terms]
         return self._tail_w[: len(ids)] @ self.graph.edge_u[ids]
 
-    def deltas(self) -> np.ndarray:
-        """Piece offsets relative to the path's point, at the current scale."""
-        return self.D - self._tail()
+    def deltas(self) -> list[np.ndarray]:
+        """Per-vertex piece offsets relative to the path's point, at the current scale."""
+        tail = self._tail()[:, None]
+        return [d - tail for d in self.D]
 
     def descend(self) -> None:
         if self.level + self.terms >= len(self.path.edges):
             raise ValueError("path exhausted; sample a longer one")
-        em_u = self.graph.edge_u[self.path.edges[self.level]]
-        lam = self.graph.lam
-        parts_v, parts_d = [], []
-        for v in range(self.graph.n_vertices):
-            sel = self.vids == v
-            if not sel.any():
-                continue
-            ids = self.graph.out_edges[v]
-            d = lam * self.D[sel][:, None, :] + (self.graph.edge_u[ids] - em_u)[None, :, :]
-            parts_d.append(d.reshape(-1, self.graph.dim))
-            parts_v.append(np.tile(self.graph.edge_dst[ids], int(sel.sum())))
-        self.vids = np.concatenate(parts_v)
-        self.D = np.concatenate(parts_d)
+        graph = self.graph
+        lam = graph.lam
+        em_u = graph.edge_u[self.path.edges[self.level]]
+        self.D = _split(graph, [lam * d for d in self.D], graph.edge_u - em_u)
         self.level += 1
         # drop pieces that no ball of radius <= 1 around the point can reach
-        delta = self.deltas()
-        halfs = self.graph.sup_half[self.vids]
-        near = np.maximum(np.abs(delta) - halfs, 0.0)
-        keep = np.einsum("ij,ij->i", near, near) <= (1.0 + _PRUNE_SLACK) ** 2
-        self.vids = self.vids[keep]
-        self.D = self.D[keep]
-        if len(self.vids) > 200_000:
+        for w, delta in enumerate(self.deltas()):
+            near = np.maximum(np.abs(delta) - graph.sup_half[w][:, None], 0.0)
+            keep = np.einsum("ij,ij->j", near, near) <= (1.0 + _PRUNE_SLACK) ** 2
+            self.D[w] = np.compress(keep, self.D[w], axis=1)
+        if sum(d.shape[1] for d in self.D) > 200_000:
             raise BracketPrecisionError("zoom cursor piece set exceeded 200000")
-        if not self.graph.exact_geometry:
-            span = float(np.abs(self.D).max()) if len(self.D) else 1.0
-            self._drift = lam * self._drift + 8.0 * np.finfo(float).eps * (span + self.graph.u_max)
+        if not graph.exact_geometry:
+            span = max((float(np.abs(d).max()) for d in self.D if d.shape[1]), default=1.0)
+            self._drift = lam * self._drift + 8.0 * np.finfo(float).eps * (span + graph.u_max)
             if self._drift > 1e-9:
                 raise BracketPrecisionError(
                     "offset recursion drift exceeds 1e-9 for this inexact geometry; "
@@ -505,20 +503,9 @@ class DensityEstimate:
     per_replica: np.ndarray = field(repr=False)
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": float(self.alpha),
-            "c_hat": float(self.c_hat),
-            "stderr": float(self.stderr),
-            "systematic_bound": float(self.systematic_bound),
-            "k": self.k,
-            "replicas": self.replicas,
-            "step": float(self.step),
-            "depth": self.depth,
-            "side": self.side,
-            "seed": self.seed,
-            "per_replica": self.per_replica.tolist(),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["per_replica"] = self.per_replica.tolist()
+        return doc
 
 
 def _norm_factor(s: float, alpha: float, side: str) -> float:
@@ -639,9 +626,10 @@ def _count_children(graph, v, t, lo, thresholds, below, above, side, level, coun
     return ~fits
 
 
-def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
+def _measures_multiradius(graph, mass, groups, radii, side, depth):
     """Measure brackets of the balls around 0 of every radius, in one refinement.
 
+    `groups` holds the pieces, one (dim, n) centre array per vertex.
     `radii` must be ascending; side "right" balls are the intervals
     [0, r].  A cylinder is inside the ball of radius r once its far
     distance is <= r and outside once its near distance is > r;
@@ -650,8 +638,10 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
     cylinders are counted by the index of the smallest radius whose ball
     holds them, and one cumulative sum turns the counts into per-radius
     masses.  Returns (lower, upper) arrays: the mass certified inside
-    each ball, and that plus the mass still undecided at `depth`.  With
-    one radius this is `ball_measure_bracket`.  With several, each
+    each ball, and that plus the mass still undecided at `depth`.  The
+    two sums round independently, so where a bracket closes they can
+    cross by an ulp or two; each radius then gets the smaller as lower.
+    With one radius this is `ball_measure_bracket`.  With several, each
     radius gets the one-radius bracket to the same depth, unless a
     distance ties a radius to within rounding: a cylinder decided for
     that radius but split for another is classified again through its
@@ -677,7 +667,7 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
     parents = None  # per vertex (centres, lo): the undecided pieces one level up
     for level in range(depth + 1):
         if parents is None:
-            active = len(vids)
+            active = sum(t.shape[1] for t in groups)
         else:
             active = sum(len(lo) * len(graph.out_edges[v]) for v, (_, lo) in enumerate(parents))
         if active == 0:
@@ -689,9 +679,7 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
         last = level == depth
         counts = [tuple(np.zeros(n_r + 1) for _ in range(3)) for _ in range(n_v)]
         kept = [[] for _ in range(n_v)]
-        if parents is None:
-            groups = _group(graph, vids, taus)
-        else:
+        if parents is not None:
             split = []
             for v, (t, lo) in enumerate(parents):
                 if len(lo) >= _COUNT_MIN:
@@ -699,7 +687,7 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
                                                side, level, counts, None if last else kept)
                     t = np.compress(fallback, t, axis=1)
                 split.append(t)
-            groups = _split(graph, split, graph.lam ** (-level))
+            groups = _split(graph, split, graph.lam ** (-level) * graph.edge_u)
         for w, t in enumerate(groups):
             dec, lower, upper = counts[w]
             if t.shape[1]:
@@ -723,7 +711,9 @@ def _measures_multiradius(graph, mass, vids, taus, radii, side, depth):
                 lower_bins += m * lower
                 upper_bins += m * upper
         parents = [_join(graph, k) for k in kept]
-    return np.cumsum(lower_bins)[:n_r], np.cumsum(upper_bins)[:n_r]
+    lower = np.cumsum(lower_bins)[:n_r]
+    upper = np.cumsum(upper_bins)[:n_r]
+    return np.minimum(lower, upper), np.maximum(lower, upper)
 
 
 def _join(graph, parts):
@@ -756,9 +746,7 @@ def _replica(graph, mass, seed, k, J, depth, side, terms):
     total = 0.0
     syst = 0.0
     for m in range(k):
-        lower, upper = _measures_multiradius(
-            graph, mass, cursor.vids, cursor.deltas(), radii, side, depth
-        )
+        lower, upper = _measures_multiradius(graph, mass, cursor.deltas(), radii, side, depth)
         mids = weights * (0.5 * (lower + upper)) / norms
         halves = weights * (0.5 * (upper - lower)) / norms
         for j in range(J, -1, -1):  # in order of increasing t
@@ -806,7 +794,7 @@ def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threa
         alpha=graph.alpha,
         k=k,
         replicas=replicas,
-        step=step,
+        step=float(step),
         depth=depth,
         side=side,
         seed=seed,

@@ -1,8 +1,11 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subtiling
 from subtiling import fixture_path
 from subtiling.cli import main
 
@@ -477,3 +480,25 @@ def test_rerun_rejects_bad_density_method(tmp_path, capsys):
     assert not again.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "'method'" in err[0]
+
+
+# ---- the benchmark's traced replay ----
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("workload, position", [("density", 0), ("density", 1),
+                                                ("symbolic", 3)])
+def test_traced_replay_matches_cli(tmp_path, monkeypatch, workload, position):
+    """perfbench/replay.py calls the library as the CLI does; with tracing on
+    its probes also read `ZoomCursor.vids`, `MarkovSampler.sample_path(s)`
+    and the estimators' `terms` and `step` defaults.  Each replay must
+    reproduce the headline of a CLI run of the same command."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    replay = importlib.import_module("replay")
+    cmd = importlib.import_module("workloads").pass_commands(workload, 1, 0)[position]
+    record = replay.replay_command(subtiling, replay.Tracer(True), cmd, str(ROOT))
+    assert any(span["probe"] for span in record["spans"])
+    assert run(*cmd.argv(str(ROOT), tmp_path)) == 0
+    doc = read_json(tmp_path / (cmd.spec.command.replace("-", "_") + ".json"))
+    assert replay.headline_matches(cmd, record["headline"], doc)
