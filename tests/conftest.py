@@ -69,12 +69,12 @@ def rng(seed: int) -> np.random.Generator:
 
 
 @st.composite
-def admissible_substitutions_1d(draw):
+def admissible_substitutions_1d(draw, min_b=1):
     """Constant-length 1-d rules on one or two expanding letters (images
-    made of expanding letters) and one or two contracting letters (images
-    that start and end with contracting letters).  Draws that are not
-    admissible are discarded by the test."""
-    n_a, n_b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    made of expanding letters) and `min_b` to two contracting letters
+    (images that start and end with contracting letters).  Draws that are
+    not admissible are discarded by the test."""
+    n_a, n_b = draw(st.integers(1, 2)), draw(st.integers(min_b, 2))
     length = draw(st.integers(3, 5))
     a_letters, b_letters = "ab"[:n_a], "xy"[:n_b]
     letters = a_letters + b_letters

@@ -383,7 +383,7 @@ def _generated_graph(sub):
 
 
 @settings(max_examples=30, deadline=None)
-@given(sub=admissible_substitutions_1d(), seed=st.integers(0, 2 ** 16))
+@given(sub=admissible_substitutions_1d(min_b=2), seed=st.integers(0, 2 ** 16))
 def test_sampler_and_cylinders_on_generated_multi_vertex_rules(sub, seed):
     """On generated rules with several vertices, the edge-table sampler
     draws the mask loop's paths, and every cylinder's measure is the sum
@@ -623,7 +623,7 @@ def test_cursor_matches_flat_descend(name, worksets):
 
 
 @settings(max_examples=30, deadline=None)
-@given(sub=admissible_substitutions_1d(), seed=st.integers(0, 2 ** 16))
+@given(sub=admissible_substitutions_1d(min_b=2), seed=st.integers(0, 2 ** 16))
 def test_cursor_matches_flat_descend_on_generated_multi_vertex_rules(sub, seed):
     assume(admissibility_report(sub).admissible)
     graph, mass = _generated_graph(sub)
@@ -769,8 +769,7 @@ def test_kernel_oracle_and_depth_nesting_on_generated_rules(sub, side, seed, n_p
 
 
 def _check_generated(sub, side, seed, n_pieces, n_radii):
-    graph = build_graph(sub)
-    mass = mass_vector(graph, transverse_weights(sub).xi_tr)
+    graph, mass = _generated_graph(sub)
     g = rng(seed)
     span = float(graph.sup_half.max())
     vids = g.integers(0, graph.n_vertices, n_pieces)
