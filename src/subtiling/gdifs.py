@@ -76,9 +76,6 @@ class GdifsGraph:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
-    def vertex_of_letter(self, letter: int) -> int:
-        return self.letter_ids.index(letter)
-
     @property
     def u_max(self) -> float:
         return float(np.abs(self.edge_u).max())

@@ -1,14 +1,13 @@
 """Spectral analysis of substitution matrices.
 
-Block-triangular normal form over strongly connected components,
-primitivity via the Wielandt bound, Perron data via shifted power
-iteration, and the admissibility checks that gate the geometric
-pipeline (reduced form (A C; 0 B), rho(A) > rho(B) > 1, boundary
-conditions on the B letters).
+Block-triangular normal form over communication classes read off one
+boolean reachability matrix, primitivity via the Wielandt bound, Perron
+data via shifted power iteration, and the admissibility checks that gate
+the geometric pipeline (reduced form (A C; 0 B), rho(A) > rho(B) > 1,
+boundary and interior conditions on the B tiles in either dimension).
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .substitution import (Substitution, expand_grid, substitution_matrix,
-                           supertile_lengths)
+from .substitution import (ConfigError, Substitution, expand_grid,
+                           substitution_matrix, supertile_lengths)
 from .substitution import apply as sub_apply
 
 __all__ = [
@@ -41,54 +40,7 @@ __all__ = [
 _RTOL = 1e-9
 
 
-# ---- strongly connected components ----
-
-def _tarjan_sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components returned with vertices sorted."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
-
+# ---- communication classes ----
 
 @dataclass
 class BlockStructure:
@@ -112,54 +64,39 @@ class BlockStructure:
         p = self.permutation
         return M[np.ix_(p, p)]
 
-    def diagonal_block(self, M: np.ndarray, i: int) -> np.ndarray:
-        b = np.array(self.blocks[i], dtype=np.int64)
-        return M[np.ix_(b, b)]
-
 
 def normal_form(M: np.ndarray, tol: float = 1e-12) -> BlockStructure:
     """Order communication classes so M becomes block upper triangular.
 
-    Edge b -> a whenever M[a, b] > 0 (a occurs in the image of b); the
-    order puts edge targets before sources, ties broken by the smallest
-    letter id in the class, so minimal classes come first and the
-    candidate B part last.
+    reach[b, a] says that a occurs in some sigma^k(b), k >= 0: the
+    closure of (M.T > 0) | I by repeated integer squaring (no BLAS call,
+    whose buffers would add to every process's peak RSS).  A class is
+    reach & reach.T.  Each step places the smallest remaining letter
+    whose reached letters outside its class are all placed, together
+    with its class, so minimal classes come first and the candidate B
+    part last.
     """
     M = np.asarray(M)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
-    adj = [list(np.nonzero(M[:, b])[0]) for b in range(n)]
-    comps = _tarjan_sccs(adj)
-    cid = np.empty(n, dtype=np.int64)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            cid[v] = i
-    # condensation out-edges: class of b -> class of a
-    out: list[set[int]] = [set() for _ in comps]
-    for b in range(n):
-        for a in adj[b]:
-            if cid[a] != cid[b]:
-                out[cid[b]].add(int(cid[a]))
-    preds: list[set[int]] = [set() for _ in comps]
-    for c, targets in enumerate(out):
-        for t in targets:
-            preds[t].add(c)
-    outdeg = [len(s) for s in out]
-    heap = [(comps[c][0], c) for c in range(len(comps)) if outdeg[c] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for p in preds[c]:
-            outdeg[p] -= 1
-            if outdeg[p] == 0:
-                heapq.heappush(heap, (comps[p][0], p))
-    blocks = [comps[c] for c in order]
+    reach = ((M.T > 0) | np.eye(n, dtype=bool)).astype(np.int64)
+    for _ in range(n.bit_length()):
+        reach = np.minimum(reach @ reach, 1)
+    reach = reach > 0
+    same = reach & reach.T
+    outside = reach & ~same
+    placed = np.zeros(n, dtype=bool)
+    blocks: list[list[int]] = []
     kinds, radii, minimal = [], [], []
-    for rank, c in enumerate(order):
-        b = np.array(comps[c], dtype=np.int64)
+    block_of = np.empty(n, dtype=np.int64)
+    while not placed.all():
+        ready = ~placed & ~(outside & ~placed).any(axis=1)
+        v = int(np.argmax(ready))
+        b = np.flatnonzero(same[v])
+        placed[b] = True
+        block_of[b] = len(blocks)
+        blocks.append(b.tolist())
         D = M[np.ix_(b, b)]
         if not D.any():
             kinds.append("zero")
@@ -167,11 +104,7 @@ def normal_form(M: np.ndarray, tol: float = 1e-12) -> BlockStructure:
         else:
             kinds.append("primitive" if is_primitive(D) else "imprimitive")
             radii.append(float(perron_vectors(D, side="right", tol=tol).rho))
-        minimal.append(len(out[c]) == 0)
-    block_of = np.empty(n, dtype=np.int64)
-    for i, blk in enumerate(blocks):
-        for v in blk:
-            block_of[v] = i
+        minimal.append(not outside[v].any())
     return BlockStructure(blocks, kinds, radii, minimal, block_of)
 
 
@@ -368,15 +301,15 @@ class AdmissibilityReport:
         }
 
 
-def _shape_checks(M: np.ndarray, ns: BlockStructure) -> tuple[bool, bool, float, float,
-                                                              list[int], list[int], list[str]]:
+def _shape_checks(M: np.ndarray, ns: BlockStructure) -> tuple[
+        bool, bool, Optional[float], Optional[float], list[int], list[int], list[str]]:
     """Reduced-form shape and spectral-order diagnostics shared by both inputs."""
     failures: list[str] = []
     nb = len(ns.blocks)
     if nb < 2:
         failures.append("no block decomposition: a single communication class "
                         "leaves no A part")
-        return False, False, float("nan"), float("nan"), [], [], failures
+        return False, False, None, None, [], [], failures
     b_letters = [int(v) for v in ns.blocks[-1]]
     a_letters = [int(v) for blk in ns.blocks[:-1] for v in blk]
     shape_ok = True
@@ -412,9 +345,24 @@ def _shape_checks(M: np.ndarray, ns: BlockStructure) -> tuple[bool, bool, float,
     return shape_ok, rho_order_ok, rho_A, rho_B, a_letters, b_letters, failures
 
 
+# per dimension: the boundary failure and the interior failure
+_LETTER_FAILURES = {
+    1: ("image of {!r} does not start and end with B letters",
+        "no interior B letter in any sigma^k({!r}) for k <= {}"),
+    2: ("grid border of {!r} contains A letters",
+        "no interior B cell in any power of the grid of {!r} for k <= {}"),
+}
+
+
 def admissibility_report(sub: Substitution, tec2_max_k: int = 12) -> AdmissibilityReport:
-    """Full admissibility: reduced 2x2 form, spectral order and, in dim 1,
-    the boundary/interior letter conditions (grid border condition in dim 2)."""
+    """Full admissibility: reduced 2x2 form, spectral order and the
+    boundary/interior letter conditions on the B tiles.
+
+    A B tile is the image word of a B letter (dim 1) or its rule grid
+    (dim 2).  Boundary: its frame, the two end letters or the grid
+    border, holds only B letters.  Interior: off that frame, some power
+    of the tile up to tec2_max_k holds a B letter.
+    """
     M = substitution_matrix(sub)
     ns = normal_form(M)
     shape_ok, rho_order_ok, rho_A, rho_B, a_letters, b_letters, failures = \
@@ -423,67 +371,31 @@ def admissibility_report(sub: Substitution, tec2_max_k: int = 12) -> Admissibili
     tec2_ok: Optional[bool] = None
     witness: Optional[int] = None
     if shape_ok and rho_order_ok:
-        b_set = set(b_letters)
-        if sub.dim == 1:
-            tec1_ok = True
-            for b in b_letters:
-                img = sub.images[b]
-                if int(img[0]) not in b_set or int(img[-1]) not in b_set:
-                    tec1_ok = False
-                    failures.append(
-                        f"image of {sub.letters[b]!r} does not start and end "
-                        "with B letters")
-            tec2_ok = True
-            witness = 0
-            for b in b_letters:
-                w = sub.images[b]
-                k_b = None
-                for k in range(1, tec2_max_k + 1):
-                    interior = w[1:-1]
-                    if len(interior) and np.isin(interior, list(b_set)).any():
-                        k_b = k
-                        break
-                    w = sub_apply(sub, w)
-                if k_b is None:
-                    tec2_ok = False
-                    failures.append(
-                        f"no interior B letter in any sigma^k({sub.letters[b]!r}) "
-                        f"for k <= {tec2_max_k}")
-                else:
-                    witness = max(witness, k_b)
-            if not tec2_ok:
-                witness = None
-        else:
-            # dim 2: border condition plays the boundary role, an interior
-            # B cell in some power plays the interior role
-            tec1_ok = True
-            for b in b_letters:
-                g = sub.grids[b]
-                border = np.concatenate([g[0], g[-1], g[1:-1, 0], g[1:-1, -1]])
-                if not np.isin(border, list(b_set)).all():
-                    tec1_ok = False
-                    failures.append(
-                        f"grid border of {sub.letters[b]!r} contains A letters")
-            tec2_ok = True
-            witness = 0
-            for b in b_letters:
-                g = sub.grids[b]
-                k_b = None
-                for k in range(1, tec2_max_k + 1):
-                    inner = g[1:-1, 1:-1]
-                    if inner.size and np.isin(inner, list(b_set)).any():
-                        k_b = k
-                        break
-                    g = expand_grid(sub, g)
-                if k_b is None:
-                    tec2_ok = False
-                    failures.append(
-                        f"no interior B cell in any power of the grid of "
-                        f"{sub.letters[b]!r} for k <= {tec2_max_k}")
-                else:
-                    witness = max(witness, k_b)
-            if not tec2_ok:
-                witness = None
+        in_b = np.isin(np.arange(sub.n_letters), b_letters)
+        inner = (slice(1, -1),) * sub.dim
+        tiles, step = (sub.images, sub_apply) if sub.dim == 1 else (sub.grids, expand_grid)
+        border_msg, interior_msg = _LETTER_FAILURES[sub.dim]
+        tec1_ok = True
+        for b in b_letters:
+            framed = in_b[tiles[b]]
+            framed[inner] = True
+            if not framed.all():
+                tec1_ok = False
+                failures.append(border_msg.format(sub.letters[b]))
+        tec2_ok = True
+        witness = 0
+        for b in b_letters:
+            t = tiles[b]
+            for k in range(1, tec2_max_k + 1):
+                if in_b[t[inner]].any():
+                    witness = max(witness, k)
+                    break
+                t = step(sub, t)
+            else:
+                tec2_ok = False
+                failures.append(interior_msg.format(sub.letters[b], tec2_max_k))
+        if not tec2_ok:
+            witness = None
     lam = None
     alpha = None
     if not failures:
@@ -522,19 +434,22 @@ def load_matrix_config(path: str) -> MatrixConfig:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
-            raise ValueError(f"{path}: JSON syntax error at line {e.lineno} "
-                             f"column {e.colno}: {e.msg}") from None
-    if "matrix" not in doc or "lambda" not in doc:
-        raise ValueError(f"{path}: matrix config needs keys 'matrix' and 'lambda'")
-    M = np.array(doc["matrix"], dtype=np.int64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{path}: matrix must be square")
-    if (M < 0).any():
-        raise ValueError(f"{path}: matrix entries must be nonnegative")
-    lam = float(doc["lambda"])
-    if lam <= 1.0:
-        raise ValueError(f"{path}: lambda must exceed 1")
-    return MatrixConfig(M, lam, int(doc.get("dim", 1)), source=path)
+            raise ConfigError(f"{path}: JSON syntax error at line {e.lineno} "
+                              f"column {e.colno}: {e.msg}") from None
+    if not isinstance(doc, dict) or "matrix" not in doc or "lambda" not in doc:
+        raise ConfigError(f"{path}: matrix config needs keys 'matrix' and 'lambda'")
+    rows, lam, dim = doc["matrix"], doc["lambda"], doc.get("dim", 1)
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and len(r) == len(rows) for r in rows)):
+        raise ConfigError(f"{path}: matrix must be a non-empty square list of rows")
+    # bool is an int subclass; entries must also fit int64
+    if not all(type(x) is int and 0 <= x < 2**63 for r in rows for x in r):
+        raise ConfigError(f"{path}: matrix entries must be nonnegative integers")
+    if type(lam) not in (int, float) or not 1.0 < lam < math.inf:
+        raise ConfigError(f"{path}: lambda must be a finite number > 1, got {lam!r}")
+    if type(dim) is not int or dim not in (1, 2):
+        raise ConfigError(f"{path}: dim must be 1 or 2, got {dim!r}")
+    return MatrixConfig(np.array(rows, dtype=np.int64), float(lam), dim, source=path)
 
 
 def matrix_report(cfg: MatrixConfig) -> AdmissibilityReport:

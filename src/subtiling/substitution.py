@@ -246,20 +246,45 @@ def supertile_lengths(sub: Substitution, n: int) -> list[tuple[int, ...]]:
     Rows are cached per substitution instance; the cache is replaced,
     never extended in place, so concurrent callers read whole tables.
     """
+    return list(_length_rows(sub, n)[:n + 1])
+
+
+def _length_rows(sub: Substitution, n: int, a: int = 0,
+                 cap: float = math.inf) -> tuple[tuple[int, ...], ...]:
+    """The cached rows, extended to row n or to the first row whose entry
+    for letter a passes cap, whichever comes first."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows = list(_lengths_cache.get(sub, [(1,) * sub.n_letters]))
-    if len(rows) <= n:
+    rows = _lengths_cache.get(sub, ((1,) * sub.n_letters,))
+    if len(rows) <= n and rows[-1][a] <= cap:
+        rows = list(rows)
         cols = substitution_matrix(sub).T.tolist()
-        while len(rows) <= n:
+        while len(rows) <= n and rows[-1][a] <= cap:
             prev = rows[-1]
             rows.append(tuple(sum(m * p for m, p in zip(col, prev)) for col in cols))
-        _lengths_cache[sub] = tuple(rows)
-    return rows[:n + 1]
+        rows = _lengths_cache[sub] = tuple(rows)
+    return rows
+
+
+def _length_by_squaring(sub: Substitution, a: int, n: int) -> int:
+    """|sigma^n(a)| = (1 . M^n)[a], M^n by repeated squaring in Python ints."""
+    P = substitution_matrix(sub).tolist()
+    row = [1] * sub.n_letters
+    while n:
+        cols = list(zip(*P))
+        if n & 1:
+            row = [sum(r * p for r, p in zip(row, col)) for col in cols]
+        n >>= 1
+        if n:
+            P = [[sum(x * y for x, y in zip(r, col)) for col in cols] for r in P]
+    return row[a]
 
 
 def _check_cap(sub: Substitution, a: int, n: int, cap: int) -> None:
-    size = supertile_lengths(sub, n)[n][a]
+    # lengths never shrink (images are non-empty), so a row past the cap
+    # before level n decides; the exact level-n size is only for the message
+    rows = _length_rows(sub, n, a, cap)
+    size = rows[n][a] if n < len(rows) else _length_by_squaring(sub, a, n)
     if size > cap:
         unit = "length" if sub.dim == 1 else "cell count"
         # str() refuses ints beyond 4300 digits

@@ -49,6 +49,43 @@ def test_analyze_matrix_config(tmp_path):
     assert abs(doc["report"]["alpha"] - 1.258) < 1e-3
 
 
+@pytest.mark.parametrize("doc", [
+    {"alphabet": ["a", "b"], "rules": {"a": "ab", "b": "a"}},
+    {"alphabet": ["a"], "rules": {"a": "aa"}},
+    {"matrix": [[1, 1], [1, 0]], "lambda": 1.618},
+])
+def test_analyze_single_class_still_writes(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run("analyze", "--config", cfg, "--out", tmp_path / "out") == 2
+    report = read_json(tmp_path / "out" / "analyze.json")["report"]
+    failure = "no block decomposition: a single communication class leaves no A part"
+    assert report["failures"] == [failure]
+    assert report["rho_A"] is None and report["rho_B"] is None
+    assert capsys.readouterr().err.splitlines()[0] == "inadmissible: " + failure
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda", None), ("lambda", "1.5"), ("lambda", "inf"), ("lambda", "nan"),
+    ("lambda", float("inf")), ("lambda", float("nan")), ("lambda", True), ("lambda", 1.0),
+    ("dim", None), ("dim", 7), ("dim", True),
+    ("matrix", [[1, 1.5], [0, 2]]), ("matrix", [[1, "1"], [0, 2]]),
+    ("matrix", [[1, True], [0, 2]]), ("matrix", [[1, -1], [0, 2]]),
+    ("matrix", [[1, 2 ** 63], [0, 2]]), ("matrix", []), ("matrix", [[1, 1]]),
+    ("matrix", [1, 2]), ("matrix", "12"),
+])
+def test_analyze_rejects_malformed_matrix_config(tmp_path, capsys, field, value):
+    doc = read_json(Path(fixture_path("fractal73_matrix")))
+    doc[field] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("analyze", "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
+
+
 def test_analyze_missing_config(tmp_path):
     assert run("analyze", "--config", tmp_path / "nope.json", "--out", tmp_path) == 2
 

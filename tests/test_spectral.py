@@ -1,7 +1,10 @@
+import heapq
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subtiling import (MassVector, Observable, admissibility_report,
                        alpha_exponent, build_graph, default_seed,
@@ -14,7 +17,7 @@ from subtiling import (MassVector, Observable, admissibility_report,
                        transverse_weights)
 from subtiling.substitution import parse_substitution
 
-from conftest import ADMISSIBLE_1D, rng
+from conftest import ADMISSIBLE_1D, FIXTURES, rng
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -45,6 +48,125 @@ def test_normal_form_triangularizes():
             below = P[pos + len(blk):, pos:pos + len(blk)]
             assert not below.any()
             pos += len(blk)
+
+
+def _tarjan_sccs(adj):
+    """Iterative Tarjan; components returned with vertices sorted."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, comps, counter = [], [], 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            for i in range(pi, len(adj[v])):
+                w = adj[v][i]
+                if index[w] == -1:
+                    work[-1] = (v, i + 1)
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if recurse:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+    return comps
+
+
+def _normal_form_oracle(M):
+    """Tarjan components of the graph b -> a (M[a, b] > 0), ordered by a
+    heap over the condensation keyed by each class's smallest letter."""
+    n = M.shape[0]
+    adj = [[int(a) for a in np.nonzero(M[:, b])[0]] for b in range(n)]
+    comps = _tarjan_sccs(adj)
+    cid = {v: i for i, comp in enumerate(comps) for v in comp}
+    out = [{cid[a] for b in comp for a in adj[b]} - {c} for c, comp in enumerate(comps)]
+    preds = [{c for c in range(len(comps)) if t in out[c]} for t in range(len(comps))]
+    outdeg = [len(s) for s in out]
+    heap = [(comps[c][0], c) for c in range(len(comps)) if outdeg[c] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.append(c)
+        for p in preds[c]:
+            outdeg[p] -= 1
+            if outdeg[p] == 0:
+                heapq.heappush(heap, (comps[p][0], p))
+    blocks = [comps[c] for c in order]
+    kinds, radii = [], []
+    for blk in blocks:
+        D = M[np.ix_(blk, blk)]
+        if not D.any():
+            kinds.append("zero")
+            radii.append(0.0)
+        else:
+            kinds.append("primitive" if is_primitive(D) else "imprimitive")
+            radii.append(float(perron_vectors(D, side="right").rho))
+    block_of = np.empty(n, dtype=np.int64)
+    for i, blk in enumerate(blocks):
+        block_of[blk] = i
+    return blocks, kinds, radii, [not out[c] for c in order], block_of
+
+
+def _assert_matches_oracle(M):
+    blocks, kinds, radii, minimal, block_of = _normal_form_oracle(M)
+    ns = normal_form(M)
+    assert ns.blocks == blocks
+    assert ns.kinds == kinds and ns.radii == radii and ns.minimal == minimal
+    assert np.array_equal(ns.block_of, block_of)
+
+
+@st.composite
+def _class_matrices(draw):
+    """Sparse non-negative n x n matrices, n = 1..12, with an added cycle
+    (periodic unless it closes on one letter), self-loops and zero rows."""
+    n = draw(st.integers(1, 12))
+    M = np.array(draw(st.lists(st.sampled_from([0, 0, 0, 0, 0, 1, 2]),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    cycle = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        M[v, u] = 1
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        M[i, i] = draw(st.integers(1, 3))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        M[i, :] = 0
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=_class_matrices())
+def test_normal_form_matches_tarjan_oracle(M):
+    _assert_matches_oracle(M)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["fractal73_matrix", "rauzy_ext_matrix"])
+def test_normal_form_matches_tarjan_oracle_on_fixtures(subs, name):
+    M = (load_matrix_config(fixture_path(name)).matrix if name.endswith("_matrix")
+         else substitution_matrix(subs[name]))
+    _assert_matches_oracle(M)
 
 
 def test_normal_form_rauzy_blocks():
@@ -210,6 +332,28 @@ def test_admissibility_openq1(subs):
     assert not rep.admissible
     assert rep.alpha is None
     assert any("left eigenvector" in f for f in rep.failures)
+
+
+def _rule(rules, dim=1):
+    return parse_substitution(json.dumps(
+        {"alphabet": sorted(rules), "dim": dim, "rules": rules}))
+
+
+@pytest.mark.parametrize("rules, dim, max_k, failures", [
+    ({"a": "aaa", "x": "axy", "y": "yxa"}, 1, 12,
+     ["image of 'x' does not start and end with B letters",
+      "image of 'y' does not start and end with B letters"]),
+    ({"a": "aaa", "x": "xax"}, 1, 1,
+     ["no interior B letter in any sigma^k('x') for k <= 1"]),
+    ({"0": ["00", "00"], "1": ["11", "01"]}, 2, 1,
+     ["grid border of '1' contains A letters",
+      "no interior B cell in any power of the grid of '1' for k <= 1"]),
+])
+def test_letter_condition_failures(rules, dim, max_k, failures):
+    """Boundary failures come before interior failures, in letter order."""
+    rep = admissibility_report(_rule(rules, dim), tec2_max_k=max_k)
+    assert rep.shape_ok and rep.rho_order_ok
+    assert rep.failures == failures
 
 
 def test_report_dict_round(cantor):

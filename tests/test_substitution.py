@@ -9,7 +9,8 @@ from subtiling import (ConfigError, LengthCapError, accordion_decompose,
                        iterate, load_substitution, orbit_generate,
                        population_vector, power, substitution_matrix,
                        supertile_lengths, word_from_str, word_to_str)
-from subtiling.substitution import _as_word, parse_substitution
+from subtiling.substitution import (LENGTH_CAP, _as_word, _lengths_cache,
+                                    parse_substitution)
 
 from conftest import admissible_substitutions_1d, rng
 
@@ -80,6 +81,15 @@ def test_iterate_cap_names_lengths_beyond_str_limit(cantor):
     # 3^10000 has 4772 digits, more than str() converts by default
     with pytest.raises(LengthCapError, match=r"length about 10\^4771 > cap"):
         iterate(cantor, 0, 10000)
+
+
+def test_failing_cap_check_stops_at_first_level_past_cap():
+    # a fresh instance, so no other test's rows are cached
+    cantor = load_substitution(fixture_path("cantor"))
+    with pytest.raises(LengthCapError, match=r"sigma\^20000\(0\) has length about"):
+        iterate(cantor, 0, 20_000)
+    rows = _lengths_cache[cantor]
+    assert len(rows) == 18 and rows[-1][0] == 3 ** 17 > LENGTH_CAP >= rows[-2][0]
 
 
 def test_supertile_lengths_exact_beyond_int64(cantor1001):
