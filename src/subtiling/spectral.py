@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -69,32 +70,32 @@ def normal_form(M: np.ndarray, tol: float = 1e-12) -> BlockStructure:
     """Order communication classes so M becomes block upper triangular.
 
     reach[b, a] says that a occurs in some sigma^k(b), k >= 0: the
-    closure of (M.T > 0) | I by repeated integer squaring (no BLAS call,
-    whose buffers would add to every process's peak RSS).  A class is
-    reach & reach.T.  Each step places the smallest remaining letter
-    whose reached letters outside its class are all placed, together
-    with its class, so minimal classes come first and the candidate B
-    part last.
+    closure of (M.T > 0) | I by Warshall's algorithm on bit-packed rows.
+    A class is reach & reach.T.  Each step places the smallest remaining
+    letter whose reached letters outside its class are all placed
+    (pending counts the unplaced ones), together with its class, so
+    minimal classes come first and the candidate B part last.
     """
     M = np.asarray(M)
     n = M.shape[0]
     if M.shape != (n, n):
         raise ValueError("matrix must be square")
-    reach = ((M.T > 0) | np.eye(n, dtype=bool)).astype(np.int64)
-    for _ in range(n.bit_length()):
-        reach = np.minimum(reach @ reach, 1)
-    reach = reach > 0
+    bits = np.packbits((M.T > 0) | np.eye(n, dtype=bool), axis=1)
+    for k in range(n):
+        bits[bits[:, k >> 3] & (0x80 >> (k & 7)) > 0] |= bits[k]
+    reach = np.unpackbits(bits, axis=1, count=n).view(bool)
     same = reach & reach.T
     outside = reach & ~same
+    pending = outside.sum(axis=1)
     placed = np.zeros(n, dtype=bool)
     blocks: list[list[int]] = []
     kinds, radii, minimal = [], [], []
     block_of = np.empty(n, dtype=np.int64)
     while not placed.all():
-        ready = ~placed & ~(outside & ~placed).any(axis=1)
-        v = int(np.argmax(ready))
+        v = int(np.argmax(~placed & (pending == 0)))
         b = np.flatnonzero(same[v])
         placed[b] = True
+        pending -= outside[:, b].sum(axis=1)
         block_of[b] = len(blocks)
         blocks.append(b.tolist())
         D = M[np.ix_(b, b)]
@@ -445,7 +446,8 @@ def load_matrix_config(path: str) -> MatrixConfig:
     # bool is an int subclass; entries must also fit int64
     if not all(type(x) is int and 0 <= x < 2**63 for r in rows for x in r):
         raise ConfigError(f"{path}: matrix entries must be nonnegative integers")
-    if type(lam) not in (int, float) or not 1.0 < lam < math.inf:
+    # an int compares with inf exactly, so the bound is the largest float
+    if type(lam) not in (int, float) or not 1.0 < lam <= sys.float_info.max:
         raise ConfigError(f"{path}: lambda must be a finite number > 1, got {lam!r}")
     if type(dim) is not int or dim not in (1, 2):
         raise ConfigError(f"{path}: dim must be 1 or 2, got {dim!r}")

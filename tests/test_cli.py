@@ -68,6 +68,7 @@ def test_analyze_single_class_still_writes(tmp_path, capsys, doc):
 @pytest.mark.parametrize("field, value", [
     ("lambda", None), ("lambda", "1.5"), ("lambda", "inf"), ("lambda", "nan"),
     ("lambda", float("inf")), ("lambda", float("nan")), ("lambda", True), ("lambda", 1.0),
+    ("lambda", 10 ** 400),
     ("dim", None), ("dim", 7), ("dim", True),
     ("matrix", [[1, 1.5], [0, 2]]), ("matrix", [[1, "1"], [0, 2]]),
     ("matrix", [[1, True], [0, 2]]), ("matrix", [[1, -1], [0, 2]]),

@@ -162,6 +162,15 @@ def test_normal_form_matches_tarjan_oracle(M):
     _assert_matches_oracle(M)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_form_matches_tarjan_oracle_wide(seed):
+    # 150 letters: packed reachability rows span 19 bytes, and most
+    # letters are their own class, so the placement order is long
+    rng = np.random.default_rng(seed)
+    M = (rng.random((150, 150)) < 1.5 / 150).astype(np.int64) * 2
+    _assert_matches_oracle(M)
+
+
 @pytest.mark.parametrize("name", FIXTURES + ["fractal73_matrix", "rauzy_ext_matrix"])
 def test_normal_form_matches_tarjan_oracle_on_fixtures(subs, name):
     M = (load_matrix_config(fixture_path(name)).matrix if name.endswith("_matrix")
