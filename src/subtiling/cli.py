@@ -48,7 +48,7 @@ from .gdifs import (BracketPrecisionError, average_density_birkhoff,
                     average_density_pointwise, build_graph, mass_vector)
 from .spectral import admissibility_report, load_matrix_config, matrix_report
 from .substitution import (ConfigError, LengthCapError, Substitution, TwoSidedWord,
-                           load_substitution)
+                           _json_doc, load_substitution)
 from .tiling import (CoverageError, suspension_lengths, window_from_sequence)
 
 SCHEMA_VERSION = 1
@@ -91,7 +91,7 @@ def _write_text(path: str, text: str) -> None:
 def _load_config(path: str):
     """(kind, object): substitution rules or a bare matrix config."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+        doc = _json_doc(f.read(), path)
     if isinstance(doc, dict) and "matrix" in doc and "rules" not in doc:
         return "matrix", load_matrix_config(path)
     return "substitution", load_substitution(path)
@@ -147,7 +147,7 @@ def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
         source = "literal"
     except ValueError:
         with open(spec, encoding="utf-8") as f:
-            doc = json.load(f)
+            doc = _json_doc(f.read(), spec)
         est = doc.get("estimate", doc) if isinstance(doc, dict) else None
         if not isinstance(est, dict) or "c_hat" not in est:
             raise ConfigError(f"{spec}: no c_hat field in density report")
@@ -415,7 +415,7 @@ def _recordable(option: argparse.Action, value) -> bool:
 def _rerun(manifest_path: str, out_dir: Optional[str],
            options: dict[str, list[argparse.Action]]) -> int:
     with open(manifest_path, encoding="utf-8") as f:
-        man = json.load(f)
+        man = _json_doc(f.read(), manifest_path)
     if not isinstance(man, dict):
         raise ConfigError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("command", "config", "seed", "parameters"):

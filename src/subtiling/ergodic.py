@@ -37,7 +37,7 @@ from .substitution import (LENGTH_CAP, LengthCapError, Substitution,
                            TwoSidedWord, expand_grid, iterate,
                            substitution_matrix, supertile_lengths)
 from .tiling import (CoverageError, GridPatch, LengthVector, Tiling1DWindow,
-                     ball_weight_scan, suspension_lengths)
+                     _OwnedLabels, ball_weight_scan, suspension_lengths)
 
 __all__ = [
     "TransverseWeights",
@@ -895,7 +895,7 @@ class TransversalSampler:
                 labels = _window_labels(self.sub, letter, level,
                                         i - rpad, i + rpad + 1,
                                         j - rpad, j + rpad + 1)
-                return GridPatch(labels, x_lo=-rpad, y_top=rpad + 1,
+                return GridPatch(_OwnedLabels(labels), x_lo=-rpad, y_top=rpad + 1,
                                  level=level, q=q)
         raise CoverageError(
             f"none of {self._MAX_DRAWS} draws addressed a cell {rpad} cells "
@@ -909,7 +909,8 @@ def _window_labels(sub: Substitution, letter: int, level: int,
 
     Descends one inflation level at a time, keeping only the cells
     above the requested window, so memory stays near the window size
-    instead of the q^(2 level) full grid.
+    instead of the q^(2 level) full grid.  The result is a view into the
+    last expansion, which holds at most q - 1 cells more on each side.
     """
     q = sub.q
     total = q ** level
@@ -929,7 +930,7 @@ def _window_labels(sub: Substitution, letter: int, level: int,
         arr = arr[nr_lo - row0: nr_hi - row0 + 1,
                   nc_lo - col0: nc_hi - col0 + 1]
         row0, col0 = nr_lo, nc_lo
-    return arr.copy()
+    return arr
 
 
 # ---- distribution of renormalized sums ----

@@ -8,7 +8,6 @@ boundary and interior conditions on the B tiles in either dimension).
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .substitution import (ConfigError, Substitution, expand_grid,
+from .substitution import (ConfigError, Substitution, _json_doc, expand_grid,
                            substitution_matrix, supertile_lengths)
 from .substitution import apply as sub_apply
 
@@ -212,8 +211,15 @@ def perron_vectors(M: np.ndarray, side: str = "left", normalization: str = "sum"
 
     Works on primitive blocks and on reducible matrices whose dominant
     eigenvalue carries a strictly positive eigenvector on the requested
-    side; raises otherwise.  normalization: "sum" (entries sum to 1),
-    "min" (smallest entry 1) or "first" (first entry 1).
+    side; raises ValueError otherwise.  normalization: "sum" (entries
+    sum to 1), "min" (smallest entry 1) or "first" (first entry 1).
+
+    The shift by I contracts the other eigen-directions of an
+    irreducible block of period p only by about cos(2 pi / p) per step,
+    so beyond a period of about 200 the iteration exhausts ``max_iter``.
+    It then falls back to ``np.linalg.eig``: the eigenvalue of largest
+    real part (the Perron root of a nonnegative matrix) and its real
+    eigenvector, polished like the iterate.
     """
     M = np.asarray(M, dtype=np.float64)
     n = M.shape[0]
@@ -225,7 +231,6 @@ def perron_vectors(M: np.ndarray, side: str = "left", normalization: str = "sum"
     P = A + np.eye(n)
     v = np.ones(n) / n
     prev = 0.0
-    cur = 0.0
     for it in range(1, max_iter + 1):
         w = P @ v
         s = w.sum()
@@ -238,13 +243,15 @@ def perron_vectors(M: np.ndarray, side: str = "left", normalization: str = "sum"
         dv = float(np.abs(w - v).max())
         v = w
         if it > 1 and abs(cur - prev) <= tol * max(1.0, abs(cur)) and dv <= tol:
+            rho = cur - 1.0
             break
         prev = cur
     else:
-        raise RuntimeError(
-            f"power iteration did not converge in {max_iter} steps; "
-            f"last estimates {prev - 1.0!r}, {cur - 1.0!r}")
-    rho = cur - 1.0
+        vals, vecs = np.linalg.eig(A)
+        k = int(np.argmax(vals.real))
+        rho = float(vals[k].real)
+        v = vecs[:, k].real
+        v = v / v[np.argmax(np.abs(v))]
     rho_p, v_p, _ = _polish_pair(A, rho, v)
     if (v_p > 0).all():
         rho, v = rho_p, v_p
@@ -432,11 +439,7 @@ class MatrixConfig:
 
 def load_matrix_config(path: str) -> MatrixConfig:
     with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: JSON syntax error at line {e.lineno} "
-                              f"column {e.colno}: {e.msg}") from None
+        doc = _json_doc(f.read(), path)
     if not isinstance(doc, dict) or "matrix" not in doc or "lambda" not in doc:
         raise ConfigError(f"{path}: matrix config needs keys 'matrix' and 'lambda'")
     rows, lam, dim = doc["matrix"], doc["lambda"], doc.get("dim", 1)

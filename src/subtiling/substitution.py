@@ -97,6 +97,20 @@ def _as_word(ids: Iterable[int]) -> np.ndarray:
     return w
 
 
+def _json_doc(text: str, source: str):
+    """json.loads, with every decoding failure a one-line ConfigError naming the source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(
+            f"{source}: JSON syntax error at line {e.lineno} column {e.colno}: {e.msg}"
+        ) from None
+    except (ValueError, RecursionError) as e:
+        # an integer literal longer than sys.get_int_max_str_digits(), or
+        # arrays nested deeper than the interpreter's recursion limit
+        raise ConfigError(f"{source}: unreadable JSON: {e}") from None
+
+
 def parse_substitution(text: str, source: str = "<string>") -> Substitution:
     """Parse a JSON substitution config.
 
@@ -104,12 +118,7 @@ def parse_substitution(text: str, source: str = "<string>") -> Substitution:
     where an image is a string (dim 1) or an array of q strings of length q,
     rows listed top to bottom (dim 2).  ``dim`` defaults to 1.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(
-            f"{source}: JSON syntax error at line {e.lineno} column {e.colno}: {e.msg}"
-        ) from None
+    doc = _json_doc(text, source)
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be an object")
     if "alphabet" not in doc or "rules" not in doc:
@@ -337,8 +346,19 @@ def expand_grid(sub: Substitution, labels: np.ndarray) -> np.ndarray:
     q = sub.q
     stack = np.stack(sub.grids)              # (N, q, q)
     h, w = labels.shape
-    out = stack[labels]                      # (h, w, q, q)
-    return out.transpose(0, 2, 1, 3).reshape(h * q, w * q)
+    # cell (i, j) becomes rows i*q + di, columns j*q + dj: one strided
+    # plane of the (h, q, w, q) output per (di, dj), written in place.
+    # Row blocks of about 64K cells cast the labels to an index once for
+    # all q^2 planes while keeping that index small.
+    out = np.empty((h, q, w, q), dtype=stack.dtype)
+    step = max(1, (1 << 16) // max(w, 1))
+    for r0 in range(0, h, step):
+        idx = labels[r0:r0 + step].astype(np.intp)
+        block = out[r0:r0 + step]
+        for di in range(q):
+            for dj in range(q):
+                block[:, di, :, dj] = stack[:, di, dj][idx]
+    return out.reshape(h * q, w * q)
 
 
 # ---- counting ----

@@ -284,6 +284,18 @@ def lemma_length_ratio(x: TwoSidedWord, xi: Union[LengthVector, np.ndarray],
 
 # ---- 2-d grid patches ----
 
+class _OwnedLabels:
+    """A label grid the library just built and holds no other reference to.
+
+    Wrapping it hands it to ``GridPatch`` without the defensive copy that
+    a caller's array gets; the patch makes it read-only.
+    """
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray) -> None:
+        self.arr = arr
+
+
 @dataclass(frozen=True, eq=False)
 class GridPatch:
     """A rectangle of unit cells: cell (i, j) covers
@@ -291,6 +303,8 @@ class GridPatch:
 
     Row 0 is the top row.  ``q`` records the inflation side factor when
     known (0 otherwise) so coverage errors can report the level needed.
+    ``labels`` is copied into a read-only uint8 array, so later changes
+    to the caller's array do not reach the patch.
     """
     labels: np.ndarray
     x_lo: int
@@ -299,7 +313,10 @@ class GridPatch:
     q: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.array(self.labels, dtype=np.uint8, copy=True)
+        if isinstance(self.labels, _OwnedLabels):
+            arr = np.asarray(self.labels.arr, dtype=np.uint8)
+        else:
+            arr = np.array(self.labels, dtype=np.uint8, copy=True)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("labels must be a nonempty 2-d array")
         arr.setflags(write=False)
@@ -372,7 +389,8 @@ def grid_patch(sub: Substitution, seed: GridPatch, n: int,
     for _ in range(n):
         labels = expand_grid(sub, labels)
     scale = q ** n
-    return GridPatch(labels, seed.x_lo * scale, seed.y_top * scale,
+    # fresh from expand_grid, or the seed's own read-only labels when n is 0
+    return GridPatch(_OwnedLabels(labels), seed.x_lo * scale, seed.y_top * scale,
                      seed.level + n, q)
 
 
@@ -387,61 +405,92 @@ def _coverage_gate(patch: GridPatch, R: float) -> None:
     raise CoverageError(msg)
 
 
-def _scaled_row_col_dist2(patch: GridPatch) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row / per-column squared farthest-corner offsets, times 4.
+# Cells per folded row chunk of the ball scan; tests shrink it to cross chunk edges.
+_CHUNK_CELLS = 1 << 20
 
-    A cell centered at (cx, cy) lies in the closed ball B_R exactly when
-    (2|cx|+1)^2 + (2|cy|+1)^2 <= (2R)^2; both summands are exact even
-    integers here because cell centers sit on the half-integer grid.
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for nonnegative int64 n below 2^62, exact.
+
+    The float square root is off by at most one there (n itself rounds
+    to a float above 2^53); one integer step each way corrects it.
     """
-    j = np.arange(patch.width, dtype=np.int64)
-    i = np.arange(patch.height, dtype=np.int64)
-    ax = np.abs(2 * patch.x_lo + 2 * j + 1) + 1
-    ay = np.abs(2 * patch.y_top - 2 * i - 1) + 1
-    return ay * ay, ax * ax
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
+
+
+def _fold_spans(origin: int, n: int, k0: int, k1: int) -> list[tuple[slice, slice]]:
+    """(folded slice, patch slice) pairs for pair indices k0 <= k < k1 along one axis.
+
+    ``origin`` cells of the axis lie before the origin.  Pair index k >= 1
+    names the k-th cell out from the origin on either side: patch index
+    origin - k before it (a reversed slice) and origin + k - 1 after it.
+    """
+    spans = []
+    a, b = max(k0, origin - n + 1), min(k1, origin + 1)
+    if a < b:
+        stop = origin - b
+        spans.append((slice(a - k0, b - k0),
+                      slice(origin - a, stop if stop >= 0 else None, -1)))
+    a, b = max(k0, 1 - origin), min(k1, n - origin + 1)
+    if a < b:
+        spans.append((slice(a - k0, b - k0), slice(origin + a - 1, origin + b - 1)))
+    return spans
 
 
 def _ball_letter_counts(patch: GridPatch, radii: np.ndarray,
                         letters: Sequence[int]) -> np.ndarray:
     """N_a(R): cells of letter a whose closed square lies in B_R, per (a, R).
 
-    The scaled corner distance of cell (i, j) is ay2[i] + ax2[j], a sum
-    of exact integers, so it is <= (2R)^2 (1 + 1e-12) exactly when it is
-    <= that threshold's floor T.  Within row i the cells inside B_R are
-    then the columns with ax2[j] <= T - ay2[i]: the k-th column pair out
-    from x = 0 (k = 1, 2, ...) has ax2 = (2k)^2, so one searchsorted over
-    those squares gives the number K of column pairs inside, and the
-    columns [c0 - K, c0 + K) around the first column c0 right of x = 0.
-    Per-row int32 prefix counts of each letter turn that run into a
-    count.  Rows are scanned in chunks of about 1M cells inside the
-    bounding box of the largest ball, so memory stays bounded by one
-    chunk.
+    Number the cells out from the origin by pair indices: cell (i, j) is
+    the ky-th row and the kx-th column out on its side (ky, kx >= 1), so
+    its farthest corner sits at (kx, ky) up to signs and it lies in B_R
+    exactly when 4 ky^2 + 4 kx^2 <= (2R)^2 (1 + 1e-12), that is, when
+    that exact integer is at most the threshold's floor T.  The up to
+    four cells sharing (ky, kx) are therefore folded into one uint8
+    count per letter (reversed slices of the patch, no gather), and a
+    ball holds, in each folded row ky <= isqrt((T - 4) / 4), the prefix
+    of kx <= isqrt((T - 4 ky^2) / 4).  Per-row int32 prefix counts of
+    the fold then give N_a(R) from only the (row, radius) pairs that the
+    ball reaches.  Folded rows are scanned in chunks of about
+    ``_CHUNK_CELLS`` cells, so memory stays bounded by one chunk.
     """
     counts = np.zeros((len(letters), radii.size), dtype=np.int64)
     thr = np.floor((2.0 * radii) ** 2 * (1.0 + 1e-12)).astype(np.int64)
-    ay2, ax2 = _scaled_row_col_dist2(patch)
-    # the nearest cell of a row or column adds at least 2^2 for the other axis
-    rows = np.flatnonzero(ay2 + 4 <= thr.max())
-    cols = np.flatnonzero(ax2 + 4 <= thr.max())
-    if rows.size == 0 or cols.size == 0:
+    # the ball reaches folded row ky when its nearest cell, kx = 1, is inside
+    reach = _isqrt(np.maximum(thr - 4, 0) // 4)
+    k_max = int(reach.max())
+    # pair indices the patch holds on its longer side of the origin
+    n_ky = min(k_max, max(patch.y_top, patch.height - patch.y_top))
+    n_kx = min(k_max, max(-patch.x_lo, patch.width + patch.x_lo))
+    if n_ky < 1 or n_kx < 1:
         return counts
-    j0, j1 = int(cols[0]), int(cols[-1]) + 1
-    width = j1 - j0
-    c0 = -patch.x_lo - j0
-    k = np.arange(1, max(c0, width - c0) + 1, dtype=np.int64)
-    pair_d2 = 4 * k * k
-    chunk = max(1, (1 << 20) // width)
-    for i0 in range(int(rows[0]), int(rows[-1]) + 1, chunk):
-        i1 = min(i0 + chunk, int(rows[-1]) + 1)
-        lab = patch.labels[i0:i1, j0:j1]
-        pairs = np.searchsorted(pair_d2, thr[None, :] - ay2[i0:i1, None], side="right")
-        lo = np.maximum(c0 - pairs, 0)
-        hi = np.minimum(c0 + pairs, width)
-        pref = np.zeros((i1 - i0, width + 1), dtype=np.int32)
+    reach = np.minimum(reach, n_ky)
+    col_spans = _fold_spans(-patch.x_lo, patch.width, 1, n_kx + 1)
+    chunk = max(1, _CHUNK_CELLS // (n_kx + 1))
+    fold = np.empty((min(chunk, n_ky), n_kx), dtype=np.uint8)
+    pref = np.zeros((min(chunk, n_ky), n_kx + 1), dtype=np.int32)
+    for k0 in range(1, n_ky + 1, chunk):
+        k1 = min(k0 + chunk, n_ky + 1)
+        # radius sel[m] visits folded rows k0 .. k0 + n_rows[m] - 1 of this chunk
+        sel = np.flatnonzero(reach >= k0)
+        n_rows = np.minimum(reach[sel], k1 - 1) - k0 + 1
+        starts = np.cumsum(n_rows) - n_rows
+        r_of = np.repeat(sel, n_rows)
+        ky = np.arange(int(n_rows.sum()), dtype=np.int64) - np.repeat(starts, n_rows) + k0
+        kx = np.minimum(_isqrt((thr[r_of] - 4 * ky * ky) // 4), n_kx)
+        at = (ky - k0) * (n_kx + 1) + kx
+        row_spans = _fold_spans(patch.y_top, patch.height, k0, k1)
+        f, p = fold[:k1 - k0], pref[:k1 - k0]
         for n, a in enumerate(letters):
-            np.cumsum(lab == int(a), axis=1, dtype=np.int32, out=pref[:, 1:])
-            inside = np.take_along_axis(pref, hi, 1) - np.take_along_axis(pref, lo, 1)
-            counts[n] += inside.sum(axis=0, dtype=np.int64)
+            f.fill(0)
+            for fr, lr in row_spans:
+                for fc, lc in col_spans:
+                    f[fr, fc] += patch.labels[lr, lc] == a
+            np.cumsum(f, axis=1, dtype=np.int32, out=p[:, 1:])
+            counts[n, sel] += np.add.reduceat(p.ravel()[at], starts)
     return counts
 
 
@@ -462,8 +511,9 @@ def ball_weight_scan(patch: GridPatch, radii: Union[np.ndarray, Sequence[float]]
     """Sum of per-letter weights over cells inside B_R, for each R in radii.
 
     Counts the cells of every nonzero-weight letter inside each ball in
-    exact integers (`_ball_letter_counts`) and returns sum_a w_a N_a(R).
-    With integer weights every sum is exact.
+    exact integers, by the quadrant-folded scan of `_ball_letter_counts`,
+    and returns sum_a w_a N_a(R).  With integer weights every sum is
+    exact.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if radii.ndim != 1 or radii.size == 0 or (radii < 0).any():

@@ -65,6 +65,38 @@ def test_analyze_single_class_still_writes(tmp_path, capsys, doc):
     assert capsys.readouterr().err.splitlines()[0] == "inadmissible: " + failure
 
 
+def test_analyze_long_period_block(tmp_path, capsys):
+    # one class, a 300-cycle with one entry 2: the shifted power iteration
+    # cannot settle in its step budget, so the radius comes from eig
+    n = 300
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        matrix[(i + 1) % n][i] = 1
+    matrix[0][n - 1] = 2
+    cfg = tmp_path / "cycle.json"
+    cfg.write_text(json.dumps({"matrix": matrix, "lambda": 2.0}))
+    assert run("analyze", "--config", cfg, "--out", tmp_path / "out") == 2
+    report = read_json(tmp_path / "out" / "analyze.json")["report"]
+    failure = "no block decomposition: a single communication class leaves no A part"
+    assert report["failures"] == [failure]
+    assert capsys.readouterr().err.splitlines()[0] == "inadmissible: " + failure
+
+
+@pytest.mark.parametrize("kind", ["matrix", "substitution"])
+def test_analyze_names_config_with_overlong_number(tmp_path, capsys, kind):
+    digits = "1" * 5001
+    cfg = tmp_path / "cfg.json"
+    if kind == "matrix":
+        cfg.write_text('{"matrix": [[2]], "lambda": ' + digits + "}")
+    else:
+        cfg.write_text('{"alphabet": ["a"], "dim": ' + digits + ', "rules": {"a": "aa"}}')
+    out = tmp_path / "out"
+    assert run("analyze", "--config", cfg, "--out", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: unreadable JSON: ")
+
+
 @pytest.mark.parametrize("field, value", [
     ("lambda", None), ("lambda", "1.5"), ("lambda", "inf"), ("lambda", "nan"),
     ("lambda", float("inf")), ("lambda", float("nan")), ("lambda", True), ("lambda", 1.0),

@@ -1,6 +1,7 @@
 import heapq
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from subtiling import (MassVector, Observable, admissibility_report,
                        snap_rational_eigenpair, spectral_radius,
                        substitution_matrix, suspension_lengths,
                        transverse_weights)
-from subtiling.substitution import parse_substitution
+from subtiling.substitution import ConfigError, parse_substitution
 
 from conftest import ADMISSIBLE_1D, FIXTURES, rng
 
@@ -291,6 +292,25 @@ def test_perron_shifted_iteration_handles_period_two():
     assert np.allclose(pd.vec, [0.5, 0.5])
 
 
+def _long_cycle(p):
+    """A p-cycle of letters with one entry 2: irreducible of period p, root 2^(1/p)."""
+    M = np.zeros((p, p), dtype=np.int64)
+    M[(np.arange(p) + 1) % p, np.arange(p)] = 1
+    M[0, p - 1] = 2
+    return M
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_perron_falls_back_to_eig_on_long_period(side):
+    # the shifted iteration contracts by about cos(pi / 60) per step here,
+    # far too slowly for 500 steps
+    pd = perron_vectors(_long_cycle(60), side=side, normalization="min", max_iter=500)
+    assert pd.iterations == 500
+    assert pd.rho == pytest.approx(2.0 ** (1.0 / 60), rel=1e-14)
+    assert pd.vec.min() == 1.0 and pd.residual <= 1e-13
+    assert pd.vec.max() == pytest.approx(2.0 ** (59 / 60), rel=1e-12)
+
+
 def test_perron_rejects_nonpositive_eigenvector(cantor):
     with pytest.raises(ValueError, match="strictly positive"):
         perron_vectors(substitution_matrix(cantor), side="right")
@@ -406,6 +426,14 @@ def test_matrix_config_requires_keys(tmp_path):
     p = tmp_path / "m.json"
     p.write_text('{"matrix": [[2]]}')
     with pytest.raises(ValueError, match="lambda"):
+        load_matrix_config(str(p))
+
+
+def test_matrix_config_names_file_with_overlong_number(tmp_path):
+    # json reads a 5001-digit integer only up to sys.get_int_max_str_digits()
+    p = tmp_path / "m.json"
+    p.write_text('{"matrix": [[2]], "lambda": ' + "1" * 5001 + "}")
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: unreadable JSON: Exceeds")):
         load_matrix_config(str(p))
 
 

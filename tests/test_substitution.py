@@ -1,12 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtiling import (ConfigError, LengthCapError, accordion_decompose,
-                       apply, fixed_point_seeds, fixture_path, in_language,
-                       iterate, load_substitution, orbit_generate,
+                       apply, expand_grid, fixed_point_seeds, fixture_path,
+                       in_language, iterate, load_substitution, orbit_generate,
                        population_vector, power, substitution_matrix,
                        supertile_lengths, word_from_str, word_to_str)
 from subtiling.substitution import (LENGTH_CAP, _as_word, _lengths_cache,
@@ -24,6 +25,19 @@ def test_load_cantor(cantor):
     assert cantor.dim == 1
     assert word_to_str(cantor, cantor.image(0)) == "000"
     assert word_to_str(cantor, cantor.image(1)) == "101"
+
+
+@pytest.mark.parametrize("text, reason", [
+    # json reads an integer only up to sys.get_int_max_str_digits() digits
+    ('{"alphabet": ["a"], "dim": ' + "1" * 5001 + ', "rules": {"a": "aa"}}', "Exceeds"),
+    # and nests arrays only as deep as the recursion limit
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+])
+def test_load_names_file_with_unreadable_json(tmp_path, text, reason):
+    p = tmp_path / "s.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: unreadable JSON: {reason}")):
+        load_substitution(str(p))
 
 
 def test_parse_rejects_empty_image():
@@ -122,6 +136,33 @@ def test_power_2d_checks_cap_first(carpet):
     with pytest.raises(LengthCapError, match="cell count 729 > cap 100"):
         power(carpet, 3, cap=100)
     assert power(carpet, 3, cap=729).q == 27
+
+
+def _expand_grid_oracle(sub, labels):
+    """One grid step by gathering a (h, w, q, q) block stack and transposing it."""
+    q = sub.q
+    h, w = labels.shape
+    return np.stack(sub.grids)[labels].transpose(0, 2, 1, 3).reshape(h * q, w * q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_expand_grid_matches_gather_oracle(q):
+    gen = rng(60 + q)
+    letters = "abcde"
+    rules = {a: ["".join(gen.choice(list(letters), size=q)) for _ in range(q)]
+             for a in letters}
+    sub = parse_substitution(json.dumps({"alphabet": list(letters), "dim": 2,
+                                         "rules": rules}))
+    # a single cell, odd and even sides, and 300 x 250 cells, which the
+    # 64K-cell row blocks split
+    for h, w in ((1, 1), (1, 7), (6, 1), (5, 8), (300, 250)):
+        labels = gen.integers(0, len(letters), size=(h, w)).astype(np.uint8)
+        got = expand_grid(sub, labels)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, _expand_grid_oracle(sub, labels))
+        # a strided view, as the patch window descent passes it
+        view = labels[::-1, ::2]
+        assert np.array_equal(expand_grid(sub, view), _expand_grid_oracle(sub, view))
 
 
 # ---- apply / iterate against the list-concatenation oracle ----

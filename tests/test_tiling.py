@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from subtiling import (CoverageError, GridPatch, LengthCapError, LengthVector,
-                       Tiling1DWindow, TwoSidedWord, alpha_exponent, apply,
-                       ball_weight_scan, btile_growth_scan,
-                       count_B_tiles_1d, count_B_tiles_ball_2d, default_seed,
-                       grid_patch, lemma_length_ratio, orbit_generate,
-                       patch_text, prefix_radius, suspension_lengths,
-                       tiling_length, window_from_sequence)
+                       Tiling1DWindow, TransversalSampler, TwoSidedWord,
+                       alpha_exponent, apply, ball_weight_scan,
+                       btile_growth_scan, count_B_tiles_1d,
+                       count_B_tiles_ball_2d, default_seed, grid_patch,
+                       lemma_length_ratio, orbit_generate, patch_text,
+                       prefix_radius, suspension_lengths, tiling_length,
+                       window_from_sequence)
+from subtiling import tiling
 
 from conftest import rng
 
@@ -369,6 +371,31 @@ def _cell_counts(patch, radii, n_letters):
     return counts
 
 
+def _row_scan(patch, radii, letters):
+    """Reference scan, row by row: N[a, r] from per-row prefix counts.
+
+    A cell's scaled corner distance is ay2[i] + ax2[j]; within row i the
+    cells inside B_r are the K column pairs around x = 0 with
+    4 K^2 <= T - ay2[i], found by one searchsorted per (row, radius).
+    """
+    counts = np.zeros((len(letters), len(radii)), dtype=np.int64)
+    thr = np.floor((2.0 * np.asarray(radii)) ** 2 * (1.0 + 1e-12)).astype(np.int64)
+    j = np.arange(patch.width, dtype=np.int64)
+    i = np.arange(patch.height, dtype=np.int64)
+    ay2 = (np.abs(2 * patch.y_top - 2 * i - 1) + 1) ** 2
+    c0 = -patch.x_lo
+    pair_d2 = 4 * np.arange(1, max(c0, patch.width - c0) + 1, dtype=np.int64) ** 2
+    pairs = np.searchsorted(pair_d2, thr[None, :] - ay2[:, None], side="right")
+    lo = np.maximum(c0 - pairs, 0)
+    hi = np.minimum(c0 + pairs, patch.width)
+    pref = np.zeros((patch.height, patch.width + 1), dtype=np.int64)
+    for n, a in enumerate(letters):
+        np.cumsum(patch.labels == a, axis=1, out=pref[:, 1:])
+        inside = np.take_along_axis(pref, hi, 1) - np.take_along_axis(pref, lo, 1)
+        counts[n] = inside.sum(axis=0)
+    return counts
+
+
 def _random_patch(gen):
     """3-letter patch with the origin at an arbitrary lattice point inside it."""
     h, w = (int(v) for v in gen.integers(2, 24, size=2))
@@ -430,6 +457,76 @@ def test_ball_weight_scan_matches_sort_scan_on_carpet(carpet):
     exact = np.array([float(Fraction(w[0]) * int(n0) + Fraction(w[1]) * int(n1))
                       for n0, n1 in zip(*n_ar)])
     assert np.allclose(ball_weight_scan(p, radii, w), exact, rtol=1e-15, atol=0.0)
+
+
+def test_isqrt_exact_near_squares():
+    # beyond 2^53 the float conversion rounds m^2 - 1 up to m^2 and m^2
+    # itself down, so the float root is off by one both ways
+    m = np.array([1, 2, 3, 1000, 2 ** 26 + 1, 2 ** 30 + 3, 3 ** 19, 2 ** 31 - 1],
+                 dtype=np.int64)
+    n = np.concatenate([m * m - 1, m * m, m * m + 1, [0, 2, 3]])
+    want = [math.isqrt(int(v)) for v in n]
+    assert tiling._isqrt(n).tolist() == want
+
+
+def test_folded_scan_matches_oracles(monkeypatch):
+    # odd and even sides, the origin at every lattice offset of the patch
+    # (edges and corners included, where the ball leaves the patch), four
+    # letters, and every tie radius sqrt(m)/2 up to beyond the far corner;
+    # a chunk of 1 or 7 cells splits the folded rows at every edge
+    gen = rng(47)
+    for h, w in ((1, 1), (1, 4), (3, 2), (5, 6), (7, 7), (8, 5)):
+        labels = gen.integers(0, 4, size=(h, w)).astype(np.uint8)
+        reach = h * h + w * w
+        radii = np.concatenate([np.sqrt(np.arange(4 * reach + 8)) / 2.0,
+                                gen.uniform(0.0, math.sqrt(reach) + 1.0, size=6)])
+        gen.shuffle(radii)
+        weights = np.array([2.0, 0.0, -3.0, 5.0])
+        for y_top in range(h + 1):
+            for x_lo in range(-w, 1):
+                p = GridPatch(labels, x_lo=x_lo, y_top=y_top)
+                cells = _cell_counts(p, radii, 4)
+                assert np.array_equal(cells, _row_scan(p, radii, [0, 1, 2, 3]))
+                assert np.array_equal((weights @ cells).astype(float),
+                                      _sort_scan(p, radii, weights))
+                for chunk in (1, 7, 1 << 20):
+                    monkeypatch.setattr(tiling, "_CHUNK_CELLS", chunk)
+                    assert np.array_equal(
+                        tiling._ball_letter_counts(p, radii, [0, 1, 2, 3]), cells)
+                    assert np.array_equal(
+                        tiling._ball_letter_counts(p, radii, [3, 1]), cells[[3, 1]])
+
+
+def test_folded_scan_matches_row_scan_on_level_9_carpet(carpet_ws):
+    # the second-order grid: 713 radii, evenly spaced in log R up to 2187
+    R = 2187.0
+    sampler = TransversalSampler(carpet_ws.sub, carpet_ws.graph, carpet_ws.mass, 3)
+    p = sampler.patch(9, R)
+    radii = np.exp(np.linspace(0.0, np.log(R), 713))
+    assert np.array_equal(tiling._ball_letter_counts(p, radii, [0, 1]),
+                          _row_scan(p, radii, [0, 1]))
+
+
+def test_grid_patch_copies_caller_labels():
+    labels = np.zeros((4, 6), dtype=np.int64)
+    p = GridPatch(labels, x_lo=-3, y_top=2)
+    labels[:] = 1
+    view = np.zeros((4, 6), dtype=np.uint8)
+    q = GridPatch(view[:, ::2], x_lo=-1, y_top=2)
+    view[:] = 1
+    for patch in (p, q):
+        assert patch.labels.dtype == np.uint8 and not patch.labels.any()
+        assert not patch.labels.flags.writeable
+    with pytest.raises(ValueError):
+        p.labels[0, 0] = 1
+
+
+def test_library_patches_are_read_only(carpet, carpet_ws):
+    built = grid_patch(carpet, default_seed(carpet), 2)
+    sampled = TransversalSampler(carpet_ws.sub, carpet_ws.graph, carpet_ws.mass,
+                                 5).patch(3, 4.0)
+    for patch in (built, sampled):
+        assert patch.labels.dtype == np.uint8 and not patch.labels.flags.writeable
 
 
 def test_patch_text(carpet):
