@@ -104,9 +104,9 @@ class _Ctx:
         self.sub = sub
         self.graph = build_graph(sub)  # raises on an inadmissible substitution
         self.alpha = float(self.graph.alpha)
-        tw = transverse_weights(sub)
+        self.xi_len = self.graph.lengths
+        tw = transverse_weights(sub, self.xi_len)
         self.mass = mass_vector(self.graph, tw.xi_tr)
-        self.xi_len = suspension_lengths(sub) if sub.dim == 1 else None
         self.norm = measure_normalization(sub, self.xi_len, tw, self.mass)
         self.sampler = TransversalSampler(sub, self.graph, self.mass, seed)
 
@@ -205,9 +205,11 @@ def _analyze(loaded, params: dict, seed: int, threads: int):
                "letters": list(obj.letters), "dim": obj.dim,
                "report": rep.as_dict()}
         if rep.admissible:
+            lengths = None
             if obj.dim == 1:
-                doc["xi_len"] = suspension_lengths(obj).xi_len
-            tw = transverse_weights(obj)
+                lengths = suspension_lengths(obj)
+                doc["xi_len"] = lengths.xi_len
+            tw = transverse_weights(obj, lengths)
             doc["xi_tr"] = tw.xi_tr
             doc["xi_tr_normalization"] = tw.normalization
     if not rep.admissible:
@@ -292,6 +294,9 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
     R = params["R"]
     if sub.dim == 2 and n is not None:
         raise ConfigError("2-d configs take --R, not --n")
+    # a manifest's R may be any JSON number; ints compare with floats exactly
+    if R is not None and not abs(R) <= sys.float_info.max:
+        raise ConfigError(f"--R must be a finite number, got {R!r}")
     if n is not None:
         n = int(n)
 

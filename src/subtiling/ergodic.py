@@ -37,7 +37,8 @@ from .substitution import (LENGTH_CAP, LengthCapError, Substitution,
                            TwoSidedWord, expand_grid, iterate,
                            substitution_matrix, supertile_lengths)
 from .tiling import (CoverageError, GridPatch, LengthVector, Tiling1DWindow,
-                     _OwnedLabels, ball_weight_scan, suspension_lengths)
+                     _as_lengths, _OwnedLabels, ball_weight_scan,
+                     suspension_lengths)
 
 __all__ = [
     "TransverseWeights",
@@ -176,17 +177,20 @@ def transverse_weights(sub: Substitution,
         raise ValueError(f"eigenvector residual {pd.residual:g} too large")
     xi = pd.vec
     if sub.dim == 1:
-        if xi_len is None:
-            xi_len = suspension_lengths(sub)
-        lengths = xi_len.xi_len if isinstance(xi_len, LengthVector) else \
-            np.asarray(xi_len, dtype=np.float64)
-        if lengths.ndim != 1 or len(lengths) < max(b) + 1:
-            raise ValueError("tile lengths must cover every contracting letter")
-        xi = xi / float(lengths[b] @ xi)
+        xi = _unit_length_pairing(sub, xi_len, b, xi)
         tag = "unit-length-pairing"
     else:
         tag = "unit-sum"
     return TransverseWeights(xi, tag, list(b), float(pd.rho))
+
+
+def _unit_length_pairing(sub: Substitution, xi_len, b: list[int],
+                         xi: np.ndarray) -> np.ndarray:
+    """xi / sum(xi_len[b] * xi); xi_len defaults to the suspension lengths."""
+    lengths = _as_lengths(suspension_lengths(sub) if xi_len is None else xi_len)
+    if len(lengths) < max(b) + 1:
+        raise ValueError("tile lengths must cover every contracting letter")
+    return xi / float(lengths[b] @ xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,13 +258,7 @@ def measure_normalization(sub: Substitution,
     if h.shape != xi.shape or not (np.isfinite(h).all() and (h > 0).all()):
         raise ValueError("degenerate mass vector")
     if sub.dim == 1:
-        if xi_len is None:
-            xi_len = suspension_lengths(sub)
-        lengths = xi_len.xi_len if isinstance(xi_len, LengthVector) else \
-            np.asarray(xi_len, dtype=np.float64)
-        if lengths.ndim != 1 or len(lengths) < max(b) + 1 or not (lengths > 0).all():
-            raise ValueError("degenerate tile length vector")
-        nu = xi / float(lengths[b] @ xi)
+        nu = _unit_length_pairing(sub, xi_len, b, xi)
     else:
         nu = xi / float(xi.sum())
     gamma = 1.0 / float(nu @ h)
@@ -885,11 +883,12 @@ class TransversalSampler:
                 f"radius {float(R)!r} needs level >= {need}")
         if side * side > LENGTH_CAP:
             raise LengthCapError("patch would exceed the cell cap")
-        pw = q ** np.arange(level - 1, -1, -1, dtype=np.int64)
         for _ in range(self._MAX_DRAWS):
             starts, edges = self._sampler.sample_paths(1, level)
-            i = int(self._erow[edges[0]] @ pw)
-            j = int(self._ecol[edges[0]] @ pw)
+            # base-q digits in Python ints: q^level outgrows int64 (3^40 > 2^63)
+            i = j = 0
+            for r, c in zip(self._erow[edges[0]].tolist(), self._ecol[edges[0]].tolist()):
+                i, j = i * q + r, j * q + c
             if rpad <= i <= total - rpad - 1 and rpad <= j <= total - rpad - 1:
                 letter = int(self._letters[int(starts[0])])
                 labels = _window_labels(self.sub, letter, level,

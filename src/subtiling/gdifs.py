@@ -19,11 +19,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from .spectral import perron_vectors, require_admissible, snap_rational_eigenpair
-from .substitution import Substitution, substitution_matrix
+from .spectral import perron_vectors, require_admissible
+from .substitution import Substitution
+from .tiling import LengthVector, suspension_lengths
 
 __all__ = [
     "GdifsGraph",
@@ -67,6 +69,7 @@ class GdifsGraph:
     B: np.ndarray                    # restriction of the substitution matrix
     overlap: bool
     exact_geometry: bool = False     # lambda and displacements exact in float64
+    lengths: Optional[LengthVector] = None   # dim 1: the suspension tile lengths
 
     @property
     def n_vertices(self) -> int:
@@ -93,11 +96,11 @@ class GdifsGraph:
 def build_graph(sub: Substitution) -> GdifsGraph:
     """Construct the contraction graph of an admissible substitution.
 
-    Raises ValueError when the admissibility report has failures or when
-    the child tiles do not fit the inflated prototile within 1e-9.
-    Displacements are computed in exact rational arithmetic whenever the
-    tile lengths snap to rationals satisfying the eigenvector identity;
-    exact_geometry records whether they are also exact as float64.
+    Raises ValueError when the admissibility report has failures.  A 1-d
+    graph lays its tiles out on `suspension_lengths`, which it keeps as
+    ``lengths``: displacements are computed in exact rational arithmetic
+    when those lengths are exact rationals, and exact_geometry records
+    whether they are also exact as float64.
     """
     rep = require_admissible(sub)
     b_letters = rep.b_letters
@@ -106,74 +109,51 @@ def build_graph(sub: Substitution) -> GdifsGraph:
     lam = rep.lam
     M = np.zeros((m, m), dtype=np.int64)
 
-    xi_fr = None
     if sub.dim == 1:
-        xi = perron_vectors(substitution_matrix(sub), side="left", normalization="min").vec
-        snapped = snap_rational_eigenpair(substitution_matrix(sub), xi, lam)
-        if snapped is not None:
-            xi_fr, lam_fr = snapped
-            xi = np.array([float(f) for f in xi_fr])
-            lam = float(lam_fr)
+        lengths = suspension_lengths(sub)
+        xi = lengths.xi_len
+        exact = lengths.exact is not None
+        if exact:
+            xi_fr, lam_fr = lengths.exact
+            lam = lengths.rho
         sup_half = np.array([[xi[g] / 2.0] for g in b_letters])
     else:
+        lengths = None
+        exact = True
+        q = sub.q
+        row, col = np.divmod(np.arange(q * q), q)
+        grid_u = np.stack([col + 0.5 - q / 2.0, q / 2.0 - row - 0.5], axis=1)
         sup_half = np.full((m, 2), 0.5)
 
-    exact = sub.dim == 2 or xi_fr is not None
     edges: list[tuple[int, int, np.ndarray, int]] = []   # (src, dst, u, pos)
     out_edges: list[list[int]] = [[] for _ in range(m)]
     for s_local, gs in enumerate(b_letters):
-        if sub.dim == 1:
-            img = sub.image(gs)
-            if xi_fr is not None:
-                run = Fraction(0)
-                centers_fr = []
-                for g in img:
-                    centers_fr.append(run + xi_fr[g] / 2 - lam_fr * xi_fr[gs] / 2)
-                    run += xi_fr[g]
-                if run != lam_fr * xi_fr[gs]:
-                    raise ValueError(
-                        f"tile lengths for letter {sub.letters[gs]!r} sum to {run}, "
-                        f"expected {lam_fr * xi_fr[gs]}"
-                    )
-                centers = [float(c) for c in centers_fr]
-                exact = exact and all(
-                    Fraction(c) == cf for c, cf in zip(centers, centers_fr)
-                )
-            else:
-                lengths = xi[img]
-                total = float(lengths.sum())
-                if abs(total - lam * xi[gs]) > _GEOM_TOL * max(1.0, lam * xi[gs]):
-                    raise ValueError(
-                        f"tile lengths for letter {sub.letters[gs]!r} sum to {total}, "
-                        f"expected {lam * xi[gs]}"
-                    )
-                centers = list(np.cumsum(lengths) - lengths / 2.0 - lam * xi[gs] / 2.0)
-            for pos, g in enumerate(img):
-                if int(g) in local:
-                    r_local = local[int(g)]
-                    u = np.array([centers[pos]])
-                    if abs(u[0]) + xi[g] / 2.0 > lam * xi[gs] / 2.0 + _GEOM_TOL:
-                        raise ValueError("child tile leaves the inflated prototile")
-                    out_edges[s_local].append(len(edges))
-                    edges.append((s_local, r_local, u, pos))
-                    M[r_local, s_local] += 1
+        if sub.dim == 2:
+            img, us = sub.grid(gs).ravel().tolist(), grid_u
+        elif lengths.exact is not None:
+            img = sub.image(gs).tolist()
+            run = Fraction(0)
+            centers_fr = []
+            for g in img:
+                centers_fr.append(run + xi_fr[g] / 2 - lam_fr * xi_fr[gs] / 2)
+                run += xi_fr[g]
+            us = [[float(c)] for c in centers_fr]
+            exact = exact and all(Fraction(u) == c for [u], c in zip(us, centers_fr))
         else:
-            grid = sub.grid(gs)
-            q = sub.q
-            for i in range(q):
-                for j in range(q):
-                    g = int(grid[i, j])
-                    if g in local:
-                        r_local = local[g]
-                        u = np.array([j + 0.5 - q / 2.0, q / 2.0 - i - 0.5])
-                        out_edges[s_local].append(len(edges))
-                        edges.append((s_local, r_local, u, i * q + j))
-                        M[r_local, s_local] += 1
+            img = sub.image(gs).tolist()
+            sizes = xi[img]
+            us = (np.cumsum(sizes) - sizes / 2.0 - lam * xi[gs] / 2.0)[:, None]
+        for pos, g in enumerate(img):
+            if g in local:
+                r_local = local[g]
+                out_edges[s_local].append(len(edges))
+                edges.append((s_local, r_local, us[pos], pos))
+                M[r_local, s_local] += 1
 
     src, dst, us, pos = zip(*edges)
     edge_src = np.array(src, dtype=np.int64)
     edge_dst = np.array(dst, dtype=np.int64)
-    edge_u = np.stack(us).astype(float)
+    edge_u = np.array(us, dtype=float)
     out_edges = [np.array(ids, dtype=np.int64) for ids in out_edges]
 
     # two children of one vertex overlap when their supports meet on every axis
@@ -200,6 +180,7 @@ def build_graph(sub: Substitution) -> GdifsGraph:
         B=M,
         overlap=overlap,
         exact_geometry=exact,
+        lengths=lengths,
     )
 
 

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .substitution import (ConfigError, Substitution, _json_doc, expand_grid,
-                           substitution_matrix, supertile_lengths)
+from .substitution import (LENGTH_CAP, ConfigError, Substitution, _json_doc,
+                           expand_grid, substitution_matrix, supertile_lengths)
 from .substitution import apply as sub_apply
 
 __all__ = [
@@ -186,7 +186,7 @@ def snap_rational_eigenpair(M: np.ndarray, xi: np.ndarray, lam: float):
     for j in range(n):
         if sum(xi_fr[i] * int(M[i, j]) for i in range(n)) != lam_fr * xi_fr[j]:
             return None
-    return xi_fr, lam_fr
+    return tuple(xi_fr), lam_fr
 
 
 def spectral_radius(M: np.ndarray, tol: float = 1e-12) -> float:
@@ -369,7 +369,9 @@ def admissibility_report(sub: Substitution, tec2_max_k: int = 12) -> Admissibili
     A B tile is the image word of a B letter (dim 1) or its rule grid
     (dim 2).  Boundary: its frame, the two end letters or the grid
     border, holds only B letters.  Interior: off that frame, some power
-    of the tile up to tec2_max_k holds a B letter.
+    of the tile up to tec2_max_k holds a B letter; the search stops
+    early, and fails, before a power would pass LENGTH_CAP letters or
+    cells.
     """
     M = substitution_matrix(sub)
     ns = normal_form(M)
@@ -392,16 +394,20 @@ def admissibility_report(sub: Substitution, tec2_max_k: int = 12) -> Admissibili
                 failures.append(border_msg.format(sub.letters[b]))
         tec2_ok = True
         witness = 0
+        sizes = supertile_lengths(sub, max(tec2_max_k, 0))
         for b in b_letters:
-            t = tiles[b]
-            for k in range(1, tec2_max_k + 1):
-                if in_b[t[inner]].any():
-                    witness = max(witness, k)
-                    break
-                t = step(sub, t)
+            t, k = tiles[b], 1
+            found = tec2_max_k >= 1 and in_b[t[inner]].any()
+            while not found and k < tec2_max_k and sizes[k + 1][b] <= LENGTH_CAP:
+                t, k = step(sub, t), k + 1
+                found = in_b[t[inner]].any()
+            if found:
+                witness = max(witness, k)
             else:
                 tec2_ok = False
-                failures.append(interior_msg.format(sub.letters[b], tec2_max_k))
+                capped = f"; power {k + 1} would exceed the cap {LENGTH_CAP}"
+                failures.append(interior_msg.format(sub.letters[b], min(k, tec2_max_k))
+                                + (capped if k < tec2_max_k else ""))
         if not tec2_ok:
             witness = None
     lam = None

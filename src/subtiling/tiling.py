@@ -2,12 +2,13 @@
 
 A one-dimensional substitution suspends to a tiling of the real line:
 every letter ``a`` gets a closed interval prototile of length ``xi_a``
-(the left Perron eigenvector of the substitution matrix), a two-sided
-symbolic sequence lays those prototiles end to end with the index-0 tile
-centered at the origin, and inflation by the Perron radius maps the
-tiling of ``x`` onto the tiling of ``sigma(x)``.  A two-dimensional grid
-substitution instead grows square patches of unit cells by repeated
-q x q subdivision of a seed block around the origin.
+(the left Perron eigenvector of the substitution matrix, computed only
+by ``suspension_lengths``: ``gdifs`` and ``ergodic`` read its result), a
+two-sided symbolic sequence lays those prototiles end to end with the
+index-0 tile centered at the origin, and inflation by the Perron radius
+maps the tiling of ``x`` onto the tiling of ``sigma(x)``.  A
+two-dimensional grid substitution instead grows square patches of unit
+cells by repeated q x q subdivision of a seed block around the origin.
 
 Counting routines report the number (or any per-letter weighting) of
 B-tiles completely contained in ``[0, t]`` respectively in the closed
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -64,7 +66,8 @@ class LengthVector:
     """Per-letter prototile lengths: left Perron eigenvector of M, min entry 1."""
     xi_len: np.ndarray
     rho: float
-    normalization: str = "min"
+    # (lengths, rho) over Q when they snap with the identity exact, else None
+    exact: Optional[tuple[tuple[Fraction, ...], Fraction]] = None
 
     def __post_init__(self) -> None:
         xi = np.asarray(self.xi_len, dtype=np.float64)
@@ -103,15 +106,14 @@ def suspension_lengths(sub: Substitution) -> LengthVector:
     M = substitution_matrix(sub)
     pd = perron_vectors(M, side="left", normalization="min")
     xi, rho = pd.vec, pd.rho
-    snapped = snap_rational_eigenpair(M, xi, rho)
-    if snapped is not None:
-        xi_fr, rho_fr = snapped
-        xi = np.array([float(f) for f in xi_fr])
-        rho = float(rho_fr)
+    exact = snap_rational_eigenpair(M, xi, rho)
+    if exact is not None:
+        xi = np.array([float(f) for f in exact[0]])
+        rho = float(exact[1])
     resid = float(np.abs(xi @ M - rho * xi).max())
     if resid > 1e-9 * max(1.0, rho * float(xi.max())):
         raise ValueError(f"inflation identity fails: residual {resid:g}")
-    return LengthVector(xi, rho)
+    return LengthVector(xi, rho, exact)
 
 
 def tiling_length(w: Union[np.ndarray, Sequence[int]],

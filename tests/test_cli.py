@@ -119,6 +119,23 @@ def test_analyze_rejects_malformed_matrix_config(tmp_path, capsys, field, value)
     assert len(err) == 1 and err[0].startswith(f"error: {cfg}: ")
 
 
+def test_analyze_interior_search_stops_at_the_cell_cap(tmp_path, capsys):
+    # b's B cells never leave the top row, so no power has an interior B
+    # cell; power 9 would hold 3^18 cells (and 3^20 about 3 GiB), so the
+    # search reports level 8 instead of expanding further
+    cfg = tmp_path / "top_row.json"
+    cfg.write_text(json.dumps({"alphabet": ["a", "b"], "dim": 2, "rules": {
+        "a": ["aaa", "aaa", "aaa"], "b": ["bab", "aaa", "aaa"]}}))
+    assert run("analyze", "--config", cfg, "--out", tmp_path / "out") == 2
+    report = read_json(tmp_path / "out" / "analyze.json")["report"]
+    assert report["tec2"] == {"ok": False, "witness_k": None}
+    assert report["failures"][-1] == (
+        "no interior B cell in any power of the grid of 'b' for k <= 8; "
+        "power 9 would exceed the cap 100000000")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith("inadmissible: ") and len(err) == 2
+
+
 def test_analyze_missing_config(tmp_path):
     assert run("analyze", "--config", tmp_path / "nope.json", "--out", tmp_path) == 2
 
@@ -233,6 +250,17 @@ def test_second_order_2d_needs_R(tmp_path):
     code = run("second-order", "--config", fixture_path("carpet"),
                "--n", 100, "--c", 0.7, "--out", tmp_path)
     assert code == 2
+
+
+@pytest.mark.parametrize("config", ["cantor", "carpet"])
+@pytest.mark.parametrize("R", ["inf", "nan"])
+def test_second_order_refuses_non_finite_R(tmp_path, capsys, config, R):
+    code = run("second-order", "--config", fixture_path(config), "--R", R,
+               "--c", 0.6, "--replicas", 1, "--out", tmp_path)
+    assert code == 2
+    assert not (tmp_path / "second_order.json").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: --R must be a finite number, got {float(R)!r}"
 
 
 def test_second_order_length_cap_exit(tmp_path, capsys):
@@ -403,6 +431,20 @@ def test_rerun_rejects_edited_config(tmp_path, capsys):
     assert not again.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "sha256" in err[0]
+
+
+def test_rerun_refuses_non_finite_R(tmp_path, capsys):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("second-order", "--config", fixture_path("cantor"), "--R", 2,
+               "--c", 0.47, "--replicas", 1, "--out", first) == 0
+    path = first / "second_order_manifest.json"
+    man = read_json(path)
+    man["parameters"]["R"] = float("inf")
+    path.write_text(json.dumps(man))   # writes the JSON extension Infinity
+    capsys.readouterr()
+    assert run("rerun", "--manifest", path, "--out", again) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: --R must be a finite number, got inf"]
 
 
 def test_rerun_without_recorded_hash(tmp_path):

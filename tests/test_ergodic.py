@@ -697,6 +697,14 @@ def test_transversal_patch_addressed_cell(carpet, carpet_ws):
     assert np.array_equal(p.labels, q.labels)
 
 
+@pytest.mark.parametrize("level", [41, 45])
+def test_transversal_patch_addressed_cell_past_int64(carpet, carpet_ws, level):
+    # a cell address runs to 3^level, past int64 from level 40 on
+    for seed in range(8):
+        p = TransversalSampler(carpet, carpet_ws.graph, carpet_ws.mass, seed).patch(level, 3.0)
+        assert int(p.labels[p.y_top - 1, -p.x_lo]) == 1
+
+
 def test_transversal_patch_coverage_message(carpet, carpet_ws):
     sampler = TransversalSampler(carpet, carpet_ws.graph, carpet_ws.mass, 0)
     with pytest.raises(CoverageError, match="needs level >= 5"):

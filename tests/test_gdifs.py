@@ -12,11 +12,12 @@ from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
                        average_density_birkhoff, average_density_pointwise,
                        ball_measure_bracket, build_graph, cylinder_measure,
                        load_substitution, mass_vector, natural_projection,
-                       transverse_weights)
+                       suspension_lengths, transverse_weights)
 from subtiling import gdifs
 from subtiling.gdifs import (_default_depth, _measures_multiradius, _norm_factor,
                              _split, dimension)
-from subtiling.substitution import parse_substitution
+from subtiling.spectral import perron_vectors, snap_rational_eigenpair
+from subtiling.substitution import parse_substitution, substitution_matrix
 
 from conftest import ADMISSIBLE_1D, Workset, admissible_substitutions_1d, rng
 
@@ -222,6 +223,126 @@ def test_graph_edge_pos_is_the_image_layout(subs):
     # u = (col + 1/2 - q/2, q/2 - row - 1/2)
     assert (carpet.edge_u[:, 0] == cols - 1.0).all()
     assert (carpet.edge_u[:, 1] == 1.0 - rows).all()
+
+
+# ---- 1-d geometry against an independent oracle ----
+
+# Variable-length rules: the silver ratio (lambda = 1 + sqrt 2, no
+# rational lengths) and one whose lengths 1, 2, 7/3 snap to Q but are
+# not all floats.
+SILVER = {"a": "aab", "b": "a", "x": "xax"}
+THIRDS = {"a": "aaaa", "x": "yayy", "y": "xaaaxy"}
+
+
+def _rule_1d(rules):
+    return parse_substitution(json.dumps(
+        {"alphabet": list(rules), "dim": 1, "rules": rules}))
+
+
+def _geometry_oracle(sub):
+    """The 1-d graph fields computed on their own, as build_graph once did.
+
+    Tile lengths are the left Perron vector of M with smallest entry 1,
+    snapped to rationals with lambda when the eigenvector identity holds
+    over Q.  Child centres come from exact sums when snapped and from a
+    float cumsum otherwise; edges are listed per source in image order.
+    """
+    rep = admissibility_report(sub)
+    b = rep.b_letters
+    M = substitution_matrix(sub)
+    xi = perron_vectors(M, side="left", normalization="min").vec
+    lam = rep.lam
+    snapped = snap_rational_eigenpair(M, xi, lam)
+    exact = snapped is not None
+    if exact:
+        xi_fr, lam_fr = snapped
+        xi = np.array([float(f) for f in xi_fr])
+        lam = float(lam_fr)
+    src, dst, us = [], [], []
+    B = np.zeros((len(b), len(b)), dtype=np.int64)
+    for s, gs in enumerate(b):
+        img = sub.image(gs).tolist()
+        if snapped is not None:
+            ends = np.cumsum(np.array([xi_fr[g] for g in img], dtype=object))
+            assert ends[-1] == lam_fr * xi_fr[gs]
+            centres_fr = [e - xi_fr[g] / 2 - lam_fr * xi_fr[gs] / 2
+                          for e, g in zip(ends, img)]
+            centres = [float(c) for c in centres_fr]
+            exact = exact and all(Fraction(c) == cf for c, cf in zip(centres, centres_fr))
+        else:
+            sizes = xi[img]
+            assert abs(sizes.sum() - lam * xi[gs]) <= 1e-9 * max(1.0, lam * xi[gs])
+            centres = list(np.cumsum(sizes) - sizes / 2.0 - lam * xi[gs] / 2.0)
+        for pos, g in enumerate(img):
+            if g in b:
+                src.append(s)
+                dst.append(b.index(g))
+                us.append([centres[pos]])
+                B[b.index(g), s] += 1
+    sup_half = np.array([[xi[g] / 2.0] for g in b])
+    edge_u = np.array(us, dtype=float)
+    overlap = False
+    for s in range(len(b)):
+        for e1 in range(len(src)):
+            for e2 in range(e1 + 1, len(src)):
+                if src[e1] == src[e2] == s:
+                    reach = sup_half[dst[e1], 0] + sup_half[dst[e2], 0] - gdifs._GEOM_TOL
+                    overlap |= bool(abs(edge_u[e1, 0] - edge_u[e2, 0]) < reach)
+    return dict(lam=lam, sup_half=sup_half, edge_u=edge_u,
+                edge_src=np.array(src, dtype=np.int64),
+                edge_dst=np.array(dst, dtype=np.int64), B=B,
+                exact_geometry=exact, overlap=overlap)
+
+
+def _assert_geometry_matches_oracle(sub):
+    graph = build_graph(sub)
+    for name, want in _geometry_oracle(sub).items():
+        got = getattr(graph, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert type(got) is type(want) and got == want, name
+
+
+@pytest.mark.parametrize("name", ADMISSIBLE_1D)
+def test_graph_geometry_matches_oracle_on_fixtures(subs, name):
+    _assert_geometry_matches_oracle(subs[name])
+
+
+@pytest.mark.parametrize("rules", [SILVER, THIRDS, TWO_VERTEX["rules"],
+                                   TWO_LENGTHS["rules"],
+                                   {"a": "aaaa", "b": "aaaa", "x": "xaxx"}])
+def test_graph_geometry_matches_oracle_on_variable_rules(rules):
+    _assert_geometry_matches_oracle(_rule_1d(rules))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sub=st.one_of(admissible_substitutions_1d(), admissible_substitutions_1d(min_b=2)))
+def test_graph_geometry_matches_oracle_on_generated_rules(sub):
+    """build_graph reads suspension_lengths for its geometry; every field
+    stays bit for bit what the graph's own Perron, snap and cumsum gave."""
+    assume(admissibility_report(sub).admissible)
+    _assert_geometry_matches_oracle(sub)
+
+
+def test_graph_keeps_the_suspension_lengths(subs):
+    """A 1-d graph carries the LengthVector its tiles are laid out on;
+    exact_geometry needs exact lengths, and exact lengths whose centres
+    are not floats (THIRDS) leave it False."""
+    for sub in [subs[name] for name in ADMISSIBLE_1D] + [_rule_1d(SILVER), _rule_1d(THIRDS)]:
+        graph = build_graph(sub)
+        lengths = graph.lengths
+        assert lengths.xi_len.tobytes() == suspension_lengths(sub).xi_len.tobytes()
+        if lengths.exact is None:
+            assert not graph.exact_geometry
+        else:
+            assert graph.lam == lengths.rho
+    assert build_graph(_rule_1d(SILVER)).lengths.exact is None
+    thirds = build_graph(_rule_1d(THIRDS))
+    assert thirds.lengths.exact[0] == (1, 2, Fraction(7, 3))
+    assert not thirds.exact_geometry
+    assert build_graph(subs["carpet"]).lengths is None
 
 
 def test_graph_edge_multiplicity(cantor1001_ws):

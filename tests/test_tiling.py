@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from subtiling import (CoverageError, GridPatch, LengthCapError, LengthVector,
                        prefix_radius, suspension_lengths, tiling_length,
                        window_from_sequence)
 from subtiling import tiling
+from subtiling.substitution import parse_substitution
 
 from conftest import rng
 
@@ -32,6 +34,24 @@ def test_suspension_lengths(cantor, cantor1001, subs):
     assert xi2.xi_len.tolist() == [1.0, 2.0] and xi2.rho == 3.0
     xi9 = suspension_lengths(subs["sigma2"])
     assert xi9.xi_len.tolist() == [1.0, 1.0] and xi9.rho == 9.0
+
+
+def test_suspension_lengths_exact_pair(subs):
+    """exact holds the snapped rationals whose floats are xi_len and rho,
+    and is None when no rational lengths satisfy the eigenvector identity."""
+    for name in ("cantor", "cantor1001", "sigma2", "sigma_k0", "sigma_k1",
+                 "sigma_k2", "sigma_k3"):
+        xi = suspension_lengths(subs[name])
+        lengths, rho = xi.exact
+        assert np.array([float(f) for f in lengths]).tobytes() == xi.xi_len.tobytes()
+        assert float(rho) == xi.rho
+    assert suspension_lengths(subs["cantor1001"]).exact == ((1, 2), 3)
+    silver = parse_substitution(json.dumps(
+        {"alphabet": ["a", "b", "x"], "dim": 1,
+         "rules": {"a": "aab", "b": "a", "x": "xax"}}))
+    xi = suspension_lengths(silver)
+    assert xi.exact is None
+    assert xi.rho == pytest.approx(1 + math.sqrt(2), rel=1e-12)
 
 
 def test_suspension_rejects_2d(carpet):
