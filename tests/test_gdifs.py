@@ -240,7 +240,7 @@ def _rule_1d(rules):
 
 
 def _geometry_oracle(sub):
-    """The 1-d graph fields computed on their own, as build_graph once did.
+    """The 1-d graph fields computed without `suspension_lengths`.
 
     Tile lengths are the left Perron vector of M with smallest entry 1,
     snapped to rationals with lambda when the eigenvector identity holds
