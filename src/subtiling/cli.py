@@ -3,10 +3,10 @@
 Every command reads a JSON config (substitution rules, or a bare
 matrix with an external inflation factor for `analyze`), writes its
 data products into --out, and records a manifest naming the command,
-parameters, seed, output files and the sha256 of the config.
+parameters, seed, output files and the sha256 of the config bytes read.
 
-One driver, `_run`, does what every command shares: it loads the
-config, refuses a matrix-only config for every command but `analyze`,
+One driver, `_run`, does what every command shares: it reads the config
+once, refuses a matrix-only config for every command but `analyze`,
 builds the admissible working set `_Ctx`, writes the files and the
 standard output that the command's body returns, and writes the
 manifest.  A body maps (working set, parameters, seed, threads) to
@@ -15,8 +15,8 @@ command's own options as the parser declares them; only `density`
 takes --threads, and the other manifests record 0.  `rerun --manifest`
 checks a recorded manifest against those options and replays it
 through the same driver, reproducing the outputs byte for byte; it
-refuses (exit 2) a malformed manifest, or a config whose sha256 no
-longer matches the recorded one.
+refuses (exit 2) a malformed manifest, or config bytes whose sha256
+differs from the recorded one, before decoding them.
 
 Exit codes: 0 success, 2 invalid or inadmissible input (including a
 word or patch that would exceed the length cap, and a config, manifest
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -46,9 +47,9 @@ from .ergodic import (Observable, TransversalSampler, log_frequency,
                       transverse_weights)
 from .gdifs import (BracketPrecisionError, average_density_birkhoff,
                     average_density_pointwise, build_graph, mass_vector)
-from .spectral import admissibility_report, load_matrix_config, matrix_report
+from .spectral import _matrix_config, admissibility_report, matrix_report
 from .substitution import (ConfigError, LengthCapError, Substitution, TwoSidedWord,
-                           _json_doc, load_substitution)
+                           _json_doc, parse_substitution)
 from .tiling import (CoverageError, suspension_lengths, window_from_sequence)
 
 SCHEMA_VERSION = 1
@@ -63,24 +64,18 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+def _numpy_json(obj):
+    """What json cannot encode itself: numpy arrays and numpy scalars."""
     if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _json_text(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_numpy_json) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -88,13 +83,21 @@ def _write_text(path: str, text: str) -> None:
         f.write(text)
 
 
-def _load_config(path: str):
-    """(kind, object): substitution rules or a bare matrix config."""
-    with open(path, encoding="utf-8") as f:
-        doc = _json_doc(f.read(), path)
+def _load_config(path: str, recorded_sha256: Optional[str] = None):
+    """(kind, object, sha256) of substitution rules or a bare matrix config, from
+    one read; bytes whose hash differs from a rerun's recorded one are not decoded."""
+    with open(path, "rb") as f:
+        data = f.read()
+    sha256 = hashlib.sha256(data).hexdigest()
+    if recorded_sha256 is not None and sha256 != recorded_sha256:
+        raise ConfigError(f"{path}: config changed since the recorded "
+                          "run (sha256 differs)")
+    # decoded as open(path, encoding="utf-8") decodes, newlines included
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    doc = _json_doc(text, path)
     if isinstance(doc, dict) and "matrix" in doc and "rules" not in doc:
-        return "matrix", load_matrix_config(path)
-    return "substitution", load_substitution(path)
+        return "matrix", _matrix_config(text, path), sha256
+    return "substitution", parse_substitution(text, path), sha256
 
 
 class _Ctx:
@@ -140,6 +143,13 @@ def _parse_observable(spec: Optional[str], ctx: _Ctx, formal: bool) -> Observabl
     return Observable(w, formal=formal)
 
 
+def _at_least_2(option: str, value):
+    """`value` of --n or --R; below 2 no series has a report point."""
+    if value < 2:
+        raise ConfigError(f"{option} must be at least 2, got {value!r}")
+    return value
+
+
 def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
     """A float, or a density-report JSON with a c_hat field; coupled via gamma."""
     try:
@@ -161,18 +171,14 @@ def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
     return ctx.norm.coupled_c(c_hat), source
 
 
-def _config_sha256(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
-def _manifest(out_dir: str, command: str, config: str, params: dict,
-              seed: int, threads: int, outputs: list[str], t0: float) -> None:
+def _manifest(out_dir: str, command: str, config: str, config_sha256: str,
+              params: dict, seed: int, threads: int, outputs: list[str],
+              t0: float) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": os.path.abspath(config),
-        "config_sha256": _config_sha256(config),
+        "config_sha256": config_sha256,
         "parameters": params,
         "seed": seed,
         "threads": threads,
@@ -298,7 +304,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
     if R is not None and not abs(R) <= sys.float_info.max:
         raise ConfigError(f"--R must be a finite number, got {R!r}")
     if n is not None:
-        n = int(n)
+        n = _at_least_2("--n", int(n))
 
         def one():
             x = ctx.sampler.orbit(n)
@@ -307,7 +313,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
     elif R is None:
         raise ConfigError("pass --n (symbolic) or --R (tiling)")
     elif sub.dim == 1:
-        R = float(R)
+        R = _at_least_2("--R", float(R))
         xi = ctx.xi_len
         n_tiles = int(np.ceil(R / xi.xi_len.min())) + 4
 
@@ -318,7 +324,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
             return second_order_tiling(win, f, ctx.alpha, c, R, norm=ctx.norm,
                                        grid_density=params["grid_density"])
     else:
-        R = float(R)
+        R = _at_least_2("--R", float(R))
         q = sub.q
         level = params["level"]
         if level is None:
@@ -338,7 +344,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
 def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
     b = _parse_letter(params["b"], ctx.sub)
     c, c_source = _parse_c(params["c"], ctx)
-    n = int(params["n"])
+    n = _at_least_2("--n", int(params["n"]))
 
     def one():
         x = ctx.sampler.orbit(n)
@@ -350,7 +356,7 @@ def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
 
 def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
     a = _parse_letter(params["a"], ctx.sub)
-    n = int(params["n"])
+    n = _at_least_2("--n", int(params["n"]))
 
     def one():
         return log_frequency(ctx.sampler.orbit(n), a, n,
@@ -384,10 +390,10 @@ _THREADED = ("density",)
 
 
 def _run(command: str, config: str, out_dir: str, seed: int, threads: int,
-         params: dict) -> int:
+         params: dict, recorded_sha256: Optional[str] = None) -> int:
     """Run one command and record its manifest; shared by direct runs and rerun."""
     t0 = time.time()
-    kind, obj = _load_config(config)
+    kind, obj, config_sha256 = _load_config(config, recorded_sha256)
     if command == "analyze":
         source = (kind, obj)
     elif kind != "substitution":
@@ -400,7 +406,8 @@ def _run(command: str, config: str, out_dir: str, seed: int, threads: int,
     for name, text in files.items():
         _write_text(os.path.join(out_dir, name), text)
     sys.stdout.write(stdout)
-    _manifest(out_dir, command, config, params, seed, threads, list(files), t0)
+    _manifest(out_dir, command, config, config_sha256, params, seed, threads,
+              list(files), t0)
     return code
 
 
@@ -447,13 +454,10 @@ def _rerun(manifest_path: str, out_dir: Optional[str],
         if not _recordable(option, params[key]):
             raise ConfigError(f"{manifest_path}: {command} parameter {key!r} "
                               f"has an invalid value {params[key]!r}")
-    recorded = man.get("config_sha256")
-    if recorded is not None and _config_sha256(config) != recorded:
-        raise ConfigError(f"{config}: config changed since the recorded "
-                          "run (sha256 differs)")
     target = out_dir if out_dir is not None else os.path.dirname(
         os.path.abspath(manifest_path))
-    return _run(command, config, target, seed, threads, params)
+    return _run(command, config, target, seed, threads, params,
+                man.get("config_sha256"))
 
 
 # ---- argument parsing ----

@@ -538,14 +538,13 @@ class SecondOrderSeries:
 
 def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
                           *, grid_density: int = 8,
-                          norm: Optional[MeasureNormalization] = None,
-                          target: Optional[float] = None) -> SecondOrderSeries:
+                          norm: Optional[MeasureNormalization] = None) -> SecondOrderSeries:
     """(1/log n) * sum_{k<=n} S_k f / (c k^(alpha+1)), reported on a grid.
 
     Every k up to the report point enters the sum; the limit for a
     nu-typical orbit is the cylinder integral of f, provided c is the
-    coupled average density.  The target column is taken from the
-    explicit argument, else from norm, else left empty.
+    coupled average density.  The target column is the cylinder
+    integral of f under norm, or empty without norm.
 
     S_k is constant between visits to weighted letters, so the sum runs
     over those visits j alone: sum_{k<=g} S_k k^-(alpha+1) =
@@ -560,8 +559,7 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
     w = f.weights
     if letters.max(initial=0) >= len(w):
         raise ValueError("letter id outside the observable")
-    if target is None and norm is not None:
-        target = norm.integral(f)
+    target = None if norm is None else norm.integral(f)
     j, v = _occurrences(letters, w)
     tail = _power_sums("tail", n, alpha + 1.0)
     m = np.searchsorted(j, grid)
@@ -573,8 +571,7 @@ def second_order_symbolic(x, f: Observable, alpha: float, c: float, n_max: int,
 
 def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
                         R_max: float, *, grid_density: int = 8,
-                        norm: Optional[MeasureNormalization] = None,
-                        target: Optional[float] = None) -> SecondOrderSeries:
+                        norm: Optional[MeasureNormalization] = None) -> SecondOrderSeries:
     """(1/log t) * outer dR/R average of window or ball integrals of g.
 
     dim 1 (suspension window): the inner integral over [0, R] of the
@@ -591,8 +588,7 @@ def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
         raise ValueError("grid_density must be positive")
     if R_max < 2.0:
         raise ValueError("R_max must be at least 2 to produce a report point")
-    if target is None and norm is not None:
-        target = norm.integral(g)
+    target = None if norm is None else norm.integral(g)
     if isinstance(win_or_patch, Tiling1DWindow):
         radii, volume, kind = _window_volume(win_or_patch, g, float(R_max))
         scale = 1.0

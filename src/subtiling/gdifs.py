@@ -59,7 +59,6 @@ class GdifsGraph:
     rho_B: float
     alpha: float
     letter_ids: tuple[int, ...]      # global letter id per vertex
-    letter_names: tuple[str, ...]
     sup_half: np.ndarray             # (m, dim) half-extents of the prototile supports
     edge_src: np.ndarray             # (E,)
     edge_dst: np.ndarray             # (E,)
@@ -170,7 +169,6 @@ def build_graph(sub: Substitution) -> GdifsGraph:
         rho_B=rep.rho_B,
         alpha=rep.alpha,
         letter_ids=tuple(int(g) for g in b_letters),
-        letter_names=tuple(sub.letters[g] for g in b_letters),
         sup_half=sup_half,
         edge_src=edge_src,
         edge_dst=edge_dst,

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _RTOL = 1e-9
+_PERRON_TOL = 1e-12  # power iteration stops when quotient and vector settle to this
 
 
 # ---- communication classes ----
@@ -65,7 +66,7 @@ class BlockStructure:
         return M[np.ix_(p, p)]
 
 
-def normal_form(M: np.ndarray, tol: float = 1e-12) -> BlockStructure:
+def normal_form(M: np.ndarray) -> BlockStructure:
     """Order communication classes so M becomes block upper triangular.
 
     reach[b, a] says that a occurs in some sigma^k(b), k >= 0: the
@@ -103,7 +104,7 @@ def normal_form(M: np.ndarray, tol: float = 1e-12) -> BlockStructure:
             radii.append(0.0)
         else:
             kinds.append("primitive" if is_primitive(D) else "imprimitive")
-            radii.append(float(perron_vectors(D, side="right", tol=tol).rho))
+            radii.append(float(perron_vectors(D, side="right").rho))
         minimal.append(not outside[v].any())
     return BlockStructure(blocks, kinds, radii, minimal, block_of)
 
@@ -131,8 +132,8 @@ def is_primitive(M: np.ndarray) -> bool:
 
 # ---- power iteration ----
 
-def _polish_pair(A: np.ndarray, rho: float, v: np.ndarray,
-                 iters: int = 4) -> tuple[float, np.ndarray, float]:
+def _polish_pair(A: np.ndarray, rho: float,
+                 v: np.ndarray) -> tuple[float, np.ndarray, float]:
     """Bordered Newton refinement of an approximate eigenpair.
 
     Quadratically convergent near a simple eigenvalue; keeps the best
@@ -147,7 +148,7 @@ def _polish_pair(A: np.ndarray, rho: float, v: np.ndarray,
         return float(np.abs(A @ y - r * y).max() / np.abs(y).max())
 
     best = (rho, x.copy(), _res(rho, x))
-    for _ in range(iters):
+    for _ in range(4):
         J = np.zeros((n + 1, n + 1))
         J[:n, :n] = A - rho * np.eye(n)
         J[:n, n] = -x
@@ -189,9 +190,9 @@ def snap_rational_eigenpair(M: np.ndarray, xi: np.ndarray, lam: float):
     return tuple(xi_fr), lam_fr
 
 
-def spectral_radius(M: np.ndarray, tol: float = 1e-12) -> float:
+def spectral_radius(M: np.ndarray) -> float:
     """max over diagonal blocks of the per-block Perron radius."""
-    ns = normal_form(np.asarray(M), tol)
+    ns = normal_form(np.asarray(M))
     return max(ns.radii) if ns.radii else 0.0
 
 
@@ -206,13 +207,13 @@ class PerronData:
 
 
 def perron_vectors(M: np.ndarray, side: str = "left", normalization: str = "sum",
-                   tol: float = 1e-12, max_iter: int = 100_000) -> PerronData:
+                   max_iter: int = 100_000) -> PerronData:
     """Dominant eigenvector by shifted power iteration.
 
     Works on primitive blocks and on reducible matrices whose dominant
     eigenvalue carries a strictly positive eigenvector on the requested
     side; raises ValueError otherwise.  normalization: "sum" (entries
-    sum to 1), "min" (smallest entry 1) or "first" (first entry 1).
+    sum to 1) or "min" (smallest entry 1).
 
     The shift by I contracts the other eigen-directions of an
     irreducible block of period p only by about cos(2 pi / p) per step,
@@ -242,7 +243,8 @@ def perron_vectors(M: np.ndarray, side: str = "left", normalization: str = "sum"
         # (equal column sums make it constant), so both must settle
         dv = float(np.abs(w - v).max())
         v = w
-        if it > 1 and abs(cur - prev) <= tol * max(1.0, abs(cur)) and dv <= tol:
+        if (it > 1 and abs(cur - prev) <= _PERRON_TOL * max(1.0, abs(cur))
+                and dv <= _PERRON_TOL):
             rho = cur - 1.0
             break
         prev = cur
@@ -262,8 +264,6 @@ def perron_vectors(M: np.ndarray, side: str = "left", normalization: str = "sum"
         v = v / v.sum()
     elif normalization == "min":
         v = v / v.min()
-    elif normalization == "first":
-        v = v / v[0]
     else:
         raise ValueError(f"unknown normalization {normalization!r}")
     residual = float(np.abs(A @ v - rho * v).max() / np.abs(v).max())
@@ -445,7 +445,11 @@ class MatrixConfig:
 
 def load_matrix_config(path: str) -> MatrixConfig:
     with open(path, encoding="utf-8") as f:
-        doc = _json_doc(f.read(), path)
+        return _matrix_config(f.read(), path)
+
+
+def _matrix_config(text: str, path: str) -> MatrixConfig:
+    doc = _json_doc(text, path)
     if not isinstance(doc, dict) or "matrix" not in doc or "lambda" not in doc:
         raise ConfigError(f"{path}: matrix config needs keys 'matrix' and 'lambda'")
     rows, lam, dim = doc["matrix"], doc["lambda"], doc.get("dim", 1)

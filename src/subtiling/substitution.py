@@ -421,7 +421,7 @@ def _occurrence_witness(sub: Substitution, w: np.ndarray, max_depth: int,
 
 # ---- fixed points and orbits ----
 
-def fixed_point_seeds(sub: Substitution, depth: int = 8) -> list[tuple[int, int]]:
+def fixed_point_seeds(sub: Substitution) -> list[tuple[int, int]]:
     """Seeds (a, b): sigma(a) ends with a, sigma(b) starts with b, ab in the language."""
     if sub.dim != 1:
         raise ValueError("fixed_point_seeds works on 1-d substitutions")
@@ -432,7 +432,7 @@ def fixed_point_seeds(sub: Substitution, depth: int = 8) -> list[tuple[int, int]
         for b in range(sub.n_letters):
             if int(sub.images[b][0]) != b:
                 continue
-            ok, _ = in_language(sub, _as_word([a, b]), max_depth=depth)
+            ok, _ = in_language(sub, _as_word([a, b]))
             if ok:
                 out.append((a, b))
     return out
@@ -465,11 +465,10 @@ class TwoSidedWord:
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def orbit_generate(sub: Substitution, seed: tuple[int, int], n: int,
-                   cap: int = LENGTH_CAP) -> TwoSidedWord:
+def orbit_generate(sub: Substitution, seed: tuple[int, int], n: int) -> TwoSidedWord:
     """Two-sided orbit blocks (sigma^n(a), sigma^n(b)) for a seed (a, b)."""
     a, b = seed
-    return TwoSidedWord(iterate(sub, a, n, cap=cap), iterate(sub, b, n, cap=cap))
+    return TwoSidedWord(iterate(sub, a, n), iterate(sub, b, n))
 
 
 # ---- accordion decomposition ----
@@ -523,29 +522,21 @@ def _supertile_levels(sub: Substitution, a: int, k: int) -> list[np.ndarray]:
     return levels[:k + 1]
 
 
-def accordion_decompose(sub: Substitution, w: np.ndarray, max_depth: int = 24,
-                        hint: Optional[tuple[int, int, int]] = None) -> AccordionForm:
+def accordion_decompose(sub: Substitution, w: np.ndarray) -> AccordionForm:
     """Canonical accordion decomposition of a language word.
 
-    ``hint`` is (letter, depth, offset) locating w inside sigma^depth(letter);
-    without it the first breadth-first witness is used.  The peel maximizes
-    the number of substitution levels, so a window equal to sigma^k(a)
-    collapses to a single deep piece.
+    w is located inside sigma^depth(letter) by the first breadth-first
+    witness, depth <= 24.  The peel maximizes the number of substitution
+    levels, so a window equal to sigma^k(a) collapses to a single deep
+    piece.
     """
     if sub.dim != 1:
         raise ValueError("accordion_decompose works on 1-d words")
     w = np.asarray(w, dtype=np.uint8)
     if len(w) == 0:
         return AccordionForm(0, [_as_word([])], [_as_word([])])
-    if hint is not None:
-        a, k, p = hint
-        levels = _supertile_levels(sub, a, k)
-        big = levels[k]
-        if p < 0 or p + len(w) > len(big) or not np.array_equal(big[p:p + len(w)], w):
-            raise ValueError("hint does not locate the window")
-    else:
-        a, k, p = _occurrence_witness(sub, w, max_depth)
-        levels = _supertile_levels(sub, a, k)
+    a, k, p = _occurrence_witness(sub, w, 24)
+    levels = _supertile_levels(sub, a, k)
 
     rl = sub.rule_lengths
     u: list[np.ndarray] = []

@@ -27,6 +27,7 @@ import numpy as np
 
 from .spectral import perron_vectors, require_admissible, snap_rational_eigenpair
 from .substitution import (
+    LENGTH_CAP,
     LengthCapError,
     Substitution,
     TwoSidedWord,
@@ -367,14 +368,14 @@ def default_seed(sub: Substitution, letter: Union[int, str, None] = None) -> Gri
 
 
 def grid_patch(sub: Substitution, seed: GridPatch, n: int,
-               side_cap: int = 3 ** 10) -> GridPatch:
+               side_cap: int = math.isqrt(LENGTH_CAP)) -> GridPatch:
     """n-fold grid inflation of a seed patch.
 
     Each step replaces every cell by its q x q rule image and multiplies
     the patch offsets by q, so the patch keeps covering a q-times larger
-    neighborhood of the origin.  Sides are capped at ``side_cap`` cells;
-    memory makes ~3^8 cells per side the practical ceiling (about 43M
-    cells at one byte each before counting buffers).
+    neighborhood of the origin.  Sides are capped at ``side_cap`` cells,
+    by default the side of a square of LENGTH_CAP cells; the cap is
+    checked before any expansion.
     """
     if sub.dim != 2:
         raise ValueError("grid patches need a 2-d substitution")

@@ -2,10 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
-from subtiling import (GdifsGraph, MassVector, Substitution, build_graph,
-                       fixture_path, load_substitution, mass_vector,
+from subtiling import (GdifsGraph, MassVector, Substitution, admissibility_report,
+                       build_graph, fixture_path, load_substitution, mass_vector,
                        measure_normalization, suspension_lengths,
                        transverse_weights)
 from subtiling.substitution import parse_substitution
@@ -88,3 +88,30 @@ def admissible_substitutions_1d(draw, min_b=1):
                   + word(b_letters, 1) for b in b_letters})
     return parse_substitution(json.dumps(
         {"alphabet": list(letters), "dim": 1, "rules": rules}))
+
+
+
+@st.composite
+def admissible_substitutions_2d(draw):
+    """Admissible q x q plane rules, q in {3, 4}: one expanding letter whose
+    image is all expanding, and two or three contracting letters whose
+    images are framed by contracting letters.  q = 2 is left out: its
+    images are all frame, so no contracting image holds the expanding
+    letter and the coupling block is zero.  Only draws with an interior
+    witness by the third power are kept, so no draw expands toward the
+    length cap."""
+    b_letters = "xyz"[:draw(st.integers(2, 3))]
+    letters = "a" + b_letters
+    q = draw(st.integers(3, 4))
+
+    def cell(row, col):
+        framed = row in (0, q - 1) or col in (0, q - 1)
+        return draw(st.sampled_from(b_letters if framed else letters))
+
+    rules = {"a": ["a" * q] * q}
+    rules.update({b: ["".join(cell(r, c) for c in range(q)) for r in range(q)]
+                  for b in b_letters})
+    sub = parse_substitution(json.dumps(
+        {"alphabet": list(letters), "dim": 2, "rules": rules}))
+    assume(admissibility_report(sub, tec2_max_k=3).admissible)
+    return sub

@@ -1,12 +1,15 @@
+import builtins
+import hashlib
 import importlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import subtiling
-from subtiling import fixture_path
+from subtiling import cli, fixture_path
 from subtiling.cli import main
 
 
@@ -184,6 +187,39 @@ def test_json_text_rejects_nan():
         _json_text({"c_hat": float("nan")})
 
 
+def _plain(obj):
+    """The recursive converter `_json_text` once ran before json.dumps: the oracle."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    return obj
+
+
+def test_json_text_matches_plain_oracle():
+    tree = {
+        "tuple": (1, 2.5, np.int64(3), (np.float64(0.1), "x")),
+        "nested": {"grid": np.arange(6, dtype=np.int64).reshape(2, 3),
+                   "ratio": np.float64(1.0) / 3.0,
+                   "mixed": [np.bool_(True), np.float32(0.1), np.int32(-7),
+                             np.uint8(255), None, False]},
+        "floats": np.array([0.1, 1e-300, 2.0, -0.0, 1e16]),
+        "bools": np.array([True, False]),
+        "empty": np.empty((0, 2)),
+        "scalar": np.array(4.5)[()],
+    }
+    expected = json.dumps(_plain(tree), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert cli._json_text(tree) == expected
+
+
 def test_density_rejects_matrix_config(tmp_path):
     code = run("density", "--config", fixture_path("fractal73_matrix"),
                "--out", tmp_path, "--k", 4, "--replicas", 2)
@@ -261,6 +297,26 @@ def test_second_order_refuses_non_finite_R(tmp_path, capsys, config, R):
     assert not (tmp_path / "second_order.json").exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0] == f"error: --R must be a finite number, got {float(R)!r}"
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("second-order", "cantor", "--R", -5, "--c", 0.6), "--R must be at least 2, got -5.0"),
+    (("second-order", "carpet", "--R", -5, "--c", 0.6), "--R must be at least 2, got -5.0"),
+    (("second-order", "cantor", "--R", 1.5, "--c", 0.6), "--R must be at least 2, got 1.5"),
+    (("second-order", "carpet", "--R", 1.5, "--c", 0.6), "--R must be at least 2, got 1.5"),
+    (("second-order", "cantor", "--n", 1, "--c", 0.6), "--n must be at least 2, got 1"),
+    (("frequency", "cantor", "--b", 1, "--n", 1, "--c", 0.48), "--n must be at least 2, got 1"),
+    (("logfreq", "cantor", "--a", 0, "--n", 0), "--n must be at least 2, got 0"),
+    (("logfreq", "cantor", "--a", 0, "--n", -3), "--n must be at least 2, got -3"),
+], ids=["cantor-R-5", "carpet-R-5", "cantor-R1.5", "carpet-R1.5", "second-order-n1",
+        "frequency-n1", "logfreq-n0", "logfreq-n-3"])
+def test_series_refuse_n_and_R_below_2_by_the_option(tmp_path, capsys, argv, line):
+    command, config, *rest = argv
+    code = run(command, "--config", fixture_path(config), *rest, "--replicas", 1,
+               "--out", tmp_path)
+    assert code == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err.strip().splitlines() == ["error: " + line]
 
 
 def test_second_order_length_cap_exit(tmp_path, capsys):
@@ -447,6 +503,21 @@ def test_rerun_refuses_non_finite_R(tmp_path, capsys):
     assert err == ["error: --R must be a finite number, got inf"]
 
 
+def test_rerun_refuses_R_below_2(tmp_path, capsys):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("second-order", "--config", fixture_path("cantor"), "--R", 2,
+               "--c", 0.47, "--replicas", 1, "--out", first) == 0
+    path = first / "second_order_manifest.json"
+    man = read_json(path)
+    man["parameters"]["R"] = 1
+    path.write_text(json.dumps(man))
+    capsys.readouterr()
+    assert run("rerun", "--manifest", path, "--out", again) == 2
+    assert not again.exists()
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: --R must be at least 2, got 1.0"]
+
+
 def test_rerun_without_recorded_hash(tmp_path):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run("logfreq", "--config", fixture_path("cantor"), "--a", 0,
@@ -470,6 +541,51 @@ MIN_ARGS = {
     "logfreq": ("--a", 0, "--n", 3 ** 5),
     "distribution": ("--levels", 3, "--samples", 200),
 }
+
+
+@pytest.mark.parametrize("command", sorted(MIN_ARGS))
+def test_each_run_opens_its_config_once(tmp_path, monkeypatch, command):
+    cfg = _copy_config(tmp_path)
+    first, again = tmp_path / "first", tmp_path / "again"
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == str(cfg):
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert run(command, "--config", cfg, *MIN_ARGS[command], "--out", first) == 0
+    assert len(opens) == 1
+    del opens[:]
+    manifest = first / (command.replace("-", "_") + "_manifest.json")
+    assert run("rerun", "--manifest", manifest, "--out", again) == 0
+    assert len(opens) == 1
+
+
+def test_manifest_hashes_the_bytes_the_run_read(tmp_path, monkeypatch, capsys):
+    cfg = _copy_config(tmp_path)
+    read = cfg.read_bytes()
+    first, again = tmp_path / "first", tmp_path / "again"
+    body = cli._COMMANDS["analyze"]
+
+    def edit_mid_run(*args):
+        with open(cfg, "a", encoding="utf-8") as f:
+            f.write("\n")
+        return body(*args)
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", edit_mid_run)
+    assert run("analyze", "--config", cfg, "--out", first) == 0
+    man = read_json(first / "analyze_manifest.json")
+    assert man["config_sha256"] == hashlib.sha256(read).hexdigest()
+    assert cfg.read_bytes() == read + b"\n"
+    capsys.readouterr()
+    assert run("rerun", "--manifest", first / "analyze_manifest.json",
+               "--out", again) == 2
+    assert not again.exists()
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {cfg}: config changed since the recorded run (sha256 differs)"]
 
 
 @pytest.mark.parametrize("text", ["5", "null", "[1, 2]", '"x"', '"matrix"'])

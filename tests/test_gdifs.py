@@ -19,7 +19,8 @@ from subtiling.gdifs import (_default_depth, _measures_multiradius, _norm_factor
 from subtiling.spectral import perron_vectors, snap_rational_eigenpair
 from subtiling.substitution import parse_substitution, substitution_matrix
 
-from conftest import ADMISSIBLE_1D, Workset, admissible_substitutions_1d, rng
+from conftest import (ADMISSIBLE_1D, Workset, admissible_substitutions_1d,
+                      admissible_substitutions_2d, rng)
 
 # Two contracting letters with different masses and out-degrees; letter 1
 # has children of both letters.  Every shipped fixture has one vertex.
@@ -29,6 +30,11 @@ TWO_VERTEX = {"alphabet": ["0", "1", "2"], "dim": 1,
 # vertices differ in half-extent too.
 TWO_LENGTHS = {"alphabet": ["0", "1", "2"], "dim": 1,
                "rules": {"0": "000", "1": "1002", "2": "21"}}
+# A plane rule with two contracting letters, M_B = [[8, 2], [1, 6]]: its
+# masses are not dyadic, where the carpet's are powers of 8.
+PLANE_TWO_VERTEX = {"alphabet": ["0", "1", "2"], "dim": 2,
+                    "rules": {"0": ["000", "000", "000"], "1": ["121", "111", "111"],
+                              "2": ["122", "202", "221"]}}
 
 
 @pytest.fixture(scope="module")
@@ -512,6 +518,19 @@ def test_sampler_and_cylinders_on_generated_multi_vertex_rules(sub, seed):
     assume(admissibility_report(sub).admissible)
     graph, mass = _generated_graph(sub)
     assume(graph.n_vertices > 1)
+    _check_sampler_and_cylinders(graph, mass, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sub=admissible_substitutions_2d(), seed=st.integers(0, 2 ** 16))
+def test_sampler_and_cylinders_on_generated_plane_rules(sub, seed):
+    """The same checks on generated plane rules with two or three vertices."""
+    graph, mass = _generated_graph(sub)
+    assert graph.n_vertices > 1
+    _check_sampler_and_cylinders(graph, mass, seed)
+
+
+def _check_sampler_and_cylinders(graph, mass, seed):
     _assert_sampler_matches_mask_loop(graph, mass, seed, 200, 12)
     starts, edges = MarkovSampler(graph, mass, seed).sample_paths(20, 3)
     for start, path in zip(starts.tolist(), edges):
@@ -781,13 +800,15 @@ def test_multiradius_matches_per_radius_brackets(name, side, depth, request):
 
 KERNEL_CASES = ([(name, side) for name in ADMISSIBLE_1D for side in ("right", "two")]
                 + [("carpet", "two"), ("two_vertex", "right"), ("two_vertex", "two"),
-                   ("two_lengths", "right"), ("two_lengths", "two")])
+                   ("two_lengths", "right"), ("two_lengths", "two"),
+                   ("plane_two_vertex", "two")])
 
 
 @pytest.fixture(scope="module")
 def worksets(subs, carpet_ws, two_vertex_ws):
     cache = {"carpet": carpet_ws, "two_vertex": two_vertex_ws,
-             "two_lengths": Workset(parse_substitution(json.dumps(TWO_LENGTHS)))}
+             "two_lengths": Workset(parse_substitution(json.dumps(TWO_LENGTHS))),
+             "plane_two_vertex": Workset(parse_substitution(json.dumps(PLANE_TWO_VERTEX)))}
 
     def get(name):
         if name not in cache:
@@ -886,20 +907,34 @@ def test_kernel_oracle_and_depth_nesting_on_generated_rules(sub, side, seed, n_p
     assume(admissibility_report(sub).admissible)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gdifs, "_COUNT_MIN", count_min)
-        _check_generated(sub, side, seed, n_pieces, n_radii)
+        _check_generated(sub, side, seed, n_pieces, n_radii, max_depth=6)
 
 
-def _check_generated(sub, side, seed, n_pieces, n_radii):
+@settings(max_examples=30, deadline=None)
+@given(sub=admissible_substitutions_2d(), seed=st.integers(0, 2 ** 16),
+       n_pieces=st.integers(1, 4), n_radii=st.integers(1, 8),
+       count_min=st.sampled_from([gdifs._COUNT_MIN, 1]))
+def test_kernel_oracle_and_depth_nesting_on_generated_plane_rules(sub, seed, n_pieces,
+                                                                  n_radii, count_min):
+    """The same on generated plane rules, to depth 4: a q^-depth grid of
+    cylinders along each ball's edge."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gdifs, "_COUNT_MIN", count_min)
+        _check_generated(sub, "two", seed, n_pieces, n_radii, max_depth=4)
+
+
+def _check_generated(sub, side, seed, n_pieces, n_radii, max_depth):
     graph, mass = _generated_graph(sub)
     g = rng(seed)
     span = float(graph.sup_half.max())
     vids = g.integers(0, graph.n_vertices, n_pieces)
-    taus = _group(graph, vids, g.uniform(-1.5 * span, 1.5 * span, size=(n_pieces, 1)))
+    taus = _group(graph, vids, g.uniform(-1.5 * span, 1.5 * span,
+                                         size=(n_pieces, graph.dim)))
     radii = np.sort(g.uniform(0.0, 2.0 * span, size=n_radii))
     # masses are summed in different orders, so comparisons allow rounding
     tol = 1e-12 * float(mass.h.max()) * n_pieces
     prev = None
-    for depth in range(7):
+    for depth in range(max_depth + 1):
         lower, upper = _assert_matches_oracle(graph, mass, taus, radii, side, depth)
         assert (lower <= upper).all()
         if prev is not None:

@@ -13,7 +13,7 @@ from subtiling import (ConfigError, LengthCapError, accordion_decompose,
 from subtiling.substitution import (LENGTH_CAP, _as_word, _lengths_cache,
                                     parse_substitution)
 
-from conftest import admissible_substitutions_1d, rng
+from conftest import admissible_substitutions_1d, admissible_substitutions_2d, rng
 
 CANTOR_M = np.array([[3, 1], [0, 2]])
 
@@ -262,6 +262,13 @@ def test_matrix_power_homomorphism(subs):
         for k in range(1, 6):
             assert np.array_equal(substitution_matrix(power(sub, k)),
                                   np.linalg.matrix_power(M, k))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sub=admissible_substitutions_2d(), k=st.integers(1, 3))
+def test_matrix_power_homomorphism_on_generated_plane_rules(sub, k):
+    assert np.array_equal(substitution_matrix(power(sub, k)),
+                          np.linalg.matrix_power(substitution_matrix(sub), k))
 
 
 # ---- language membership ----

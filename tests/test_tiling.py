@@ -307,6 +307,15 @@ def test_grid_patch_side_cap(carpet):
         grid_patch(carpet, default_seed(carpet), 3, side_cap=50)
 
 
+def test_grid_patch_default_cap_is_the_length_cap(carpet, monkeypatch):
+    # level 8 is 2 * 3^8 = 13,122 cells a side, past isqrt(LENGTH_CAP) = 10,000
+    def expand(*args):
+        raise AssertionError("grid_patch expanded a patch past its cap")
+    monkeypatch.setattr(tiling, "expand_grid", expand)
+    with pytest.raises(LengthCapError, match="patch side 13122 exceeds the cap 10000"):
+        grid_patch(carpet, default_seed(carpet), 8)
+
+
 def test_grid_patch_zero_steps(carpet):
     seed = default_seed(carpet)
     p = grid_patch(carpet, seed, 0)
