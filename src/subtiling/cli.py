@@ -84,20 +84,19 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_config(path: str, recorded_sha256: Optional[str] = None):
-    """(kind, object, sha256) of substitution rules or a bare matrix config, from
-    one read; bytes whose hash differs from a rerun's recorded one are not decoded."""
+    """(kind, object, bytes) of substitution rules or a bare matrix config, from
+    one read; bytes whose sha256 differs from a rerun's recorded one are not decoded."""
     with open(path, "rb") as f:
         data = f.read()
-    sha256 = hashlib.sha256(data).hexdigest()
-    if recorded_sha256 is not None and sha256 != recorded_sha256:
+    if recorded_sha256 is not None and hashlib.sha256(data).hexdigest() != recorded_sha256:
         raise ConfigError(f"{path}: config changed since the recorded "
                           "run (sha256 differs)")
     # decoded as open(path, encoding="utf-8") decodes, newlines included
     text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
     doc = _json_doc(text, path)
     if isinstance(doc, dict) and "matrix" in doc and "rules" not in doc:
-        return "matrix", _matrix_config(text, path), sha256
-    return "substitution", parse_substitution(text, path), sha256
+        return "matrix", _matrix_config(text, path), data
+    return "substitution", parse_substitution(text, path), data
 
 
 class _Ctx:
@@ -171,14 +170,16 @@ def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
     return ctx.norm.coupled_c(c_hat), source
 
 
-def _manifest(out_dir: str, command: str, config: str, config_sha256: str,
+def _manifest(out_dir: str, command: str, config: str, config_bytes: bytes,
               params: dict, seed: int, threads: int, outputs: list[str],
               t0: float) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "config": os.path.abspath(config),
-        "config_sha256": config_sha256,
+        # hashed after the run: the first sha256 sets up OpenSSL (about
+        # 0.2 MB), which would otherwise sit under the command's peak RSS
+        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "parameters": params,
         "seed": seed,
         "threads": threads,
@@ -393,7 +394,7 @@ def _run(command: str, config: str, out_dir: str, seed: int, threads: int,
          params: dict, recorded_sha256: Optional[str] = None) -> int:
     """Run one command and record its manifest; shared by direct runs and rerun."""
     t0 = time.time()
-    kind, obj, config_sha256 = _load_config(config, recorded_sha256)
+    kind, obj, config_bytes = _load_config(config, recorded_sha256)
     if command == "analyze":
         source = (kind, obj)
     elif kind != "substitution":
@@ -406,7 +407,7 @@ def _run(command: str, config: str, out_dir: str, seed: int, threads: int,
     for name, text in files.items():
         _write_text(os.path.join(out_dir, name), text)
     sys.stdout.write(stdout)
-    _manifest(out_dir, command, config, config_sha256, params, seed, threads,
+    _manifest(out_dir, command, config, config_bytes, params, seed, threads,
               list(files), t0)
     return code
 
