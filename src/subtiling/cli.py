@@ -12,15 +12,18 @@ standard output that the command's body returns, and writes the
 manifest.  A body maps (working set, parameters, seed, threads) to
 (files, stdout text, exit code).  A manifest's parameters are the
 command's own options as the parser declares them; only `density`
-takes --threads, and the other manifests record 0.  `rerun --manifest`
-checks a recorded manifest against those options and replays it
-through the same driver, reproducing the outputs byte for byte; it
-refuses (exit 2) a malformed manifest, or config bytes whose sha256
-differs from the recorded one, before decoding them.
+takes --threads, the number of worker processes its replicas run on
+(0, the default, one per available CPU), and the other manifests
+record 0.  `rerun --manifest` checks a recorded manifest against those
+options and replays it through the same driver, reproducing the
+outputs byte for byte; it refuses (exit 2) a malformed manifest, or
+config bytes whose sha256 differs from the recorded one, before
+decoding them.
 
 Exit codes: 0 success, 2 invalid or inadmissible input (including a
-word or patch that would exceed the length cap, and a config, manifest
-or output path that the operating system cannot read or write), 3
+word or patch that would exceed the length cap, an out-of-range
+option, named in the error line, and a config, manifest or output
+path that the operating system cannot read or write), 3
 bracket precision unattainable, 4 coverage shortfall.  Data goes to
 files and standard output; diagnostics go to standard error.
 """
@@ -45,8 +48,7 @@ from .ergodic import (Observable, TransversalSampler, log_frequency,
                       mass_observable, measure_normalization,
                       second_order_symbolic, second_order_tiling,
                       transverse_weights)
-from .gdifs import (BracketPrecisionError, average_density_birkhoff,
-                    average_density_pointwise, build_graph, mass_vector)
+from .gdifs import BracketPrecisionError, _run_density, build_graph, mass_vector
 from .spectral import _matrix_config, admissibility_report, matrix_report
 from .substitution import (ConfigError, LengthCapError, Substitution, TwoSidedWord,
                            _json_doc, parse_substitution)
@@ -142,10 +144,10 @@ def _parse_observable(spec: Optional[str], ctx: _Ctx, formal: bool) -> Observabl
     return Observable(w, formal=formal)
 
 
-def _at_least_2(option: str, value):
-    """`value` of --n or --R; below 2 no series has a report point."""
-    if value < 2:
-        raise ConfigError(f"{option} must be at least 2, got {value!r}")
+def _at_least(option: str, value, least: int):
+    """`value` of `option`, refused by name below `least`."""
+    if value < least:
+        raise ConfigError(f"{option} must be at least {least}, got {value!r}")
     return value
 
 
@@ -227,17 +229,17 @@ def _analyze(loaded, params: dict, seed: int, threads: int):
 
 def _density(ctx: _Ctx, params: dict, seed: int, threads: int):
     method = params["method"]
-    kw = dict(k=params["k"], replicas=params["replicas"], threads=threads)
+    # pointwise takes the seed and birkhoff the next; with both, one pool runs every replica
+    runs = [(s, m) for s, m in ((seed, "pointwise"), (seed + 1, "birkhoff"))
+            if method in (m, "both")]
+    ests = _run_density(ctx.graph, ctx.mass, runs, params["k"], params["replicas"],
+                        threads=threads)
     doc: dict = {"schema_version": SCHEMA_VERSION, "alpha": ctx.alpha}
-    if method in ("pointwise", "both"):
-        est_pw = average_density_pointwise(ctx.graph, ctx.mass, seed=seed, **kw)
-        doc["pointwise"] = est_pw.as_dict()
-    if method in ("birkhoff", "both"):
-        est_bk = average_density_birkhoff(ctx.graph, ctx.mass, seed=seed + 1, **kw)
-        doc["birkhoff"] = est_bk.as_dict()
+    for est in ests:
+        doc[est.method] = est.as_dict()
     if method == "both":
-        delta = abs(est_pw.c_hat - est_bk.c_hat) / est_bk.c_hat
-        doc["cross_check_delta"] = delta
+        est_pw, est_bk = ests
+        doc["cross_check_delta"] = abs(est_pw.c_hat - est_bk.c_hat) / est_bk.c_hat
         doc["estimate"] = doc["birkhoff"]
     else:
         doc["estimate"] = doc[method]
@@ -297,6 +299,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
     sub = ctx.sub
     f = _parse_observable(params["f"], ctx, params["formal"])
     c, c_source = _parse_c(params["c"], ctx)
+    grid_density = _at_least("--grid-density", params["grid_density"], 1)
     n = params["n"]
     R = params["R"]
     if sub.dim == 2 and n is not None:
@@ -305,16 +308,16 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
     if R is not None and not abs(R) <= sys.float_info.max:
         raise ConfigError(f"--R must be a finite number, got {R!r}")
     if n is not None:
-        n = _at_least_2("--n", int(n))
+        n = _at_least("--n", int(n), 2)
 
         def one():
             x = ctx.sampler.orbit(n)
             return second_order_symbolic(x, f, ctx.alpha, c, n, norm=ctx.norm,
-                                         grid_density=params["grid_density"])
+                                         grid_density=grid_density)
     elif R is None:
         raise ConfigError("pass --n (symbolic) or --R (tiling)")
     elif sub.dim == 1:
-        R = _at_least_2("--R", float(R))
+        R = _at_least("--R", float(R), 2)
         xi = ctx.xi_len
         n_tiles = int(np.ceil(R / xi.xi_len.min())) + 4
 
@@ -323,20 +326,22 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
             win = window_from_sequence(
                 TwoSidedWord(np.empty(0, dtype=np.uint8), x), xi, 0, n_tiles)
             return second_order_tiling(win, f, ctx.alpha, c, R, norm=ctx.norm,
-                                       grid_density=params["grid_density"])
+                                       grid_density=grid_density)
     else:
-        R = _at_least_2("--R", float(R))
+        R = _at_least("--R", float(R), 2)
         q = sub.q
         level = params["level"]
         if level is None:
             level = 1
             while q ** level < 8 * (int(np.ceil(R)) + 2):
                 level += 1
+        else:
+            level = _at_least("--level", level, 1)
 
         def one():
-            patch = ctx.sampler.patch(int(level), R)
+            patch = ctx.sampler.patch(level, R)
             return second_order_tiling(patch, f, ctx.alpha, c, R, norm=ctx.norm,
-                                       grid_density=params["grid_density"])
+                                       grid_density=grid_density)
 
     return _series_outputs("second_order", one, params["replicas"],
                            c_source=c_source)
@@ -345,31 +350,34 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
 def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
     b = _parse_letter(params["b"], ctx.sub)
     c, c_source = _parse_c(params["c"], ctx)
-    n = _at_least_2("--n", int(params["n"]))
+    n = _at_least("--n", int(params["n"]), 2)
+    grid_density = _at_least("--grid-density", params["grid_density"], 1)
 
     def one():
         x = ctx.sampler.orbit(n)
         return alpha_frequency(x, b, ctx.alpha, n, c=c, norm=ctx.norm,
-                               grid_density=params["grid_density"])
+                               grid_density=grid_density)
 
     return _series_outputs("frequency", one, params["replicas"], c_source=c_source)
 
 
 def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
     a = _parse_letter(params["a"], ctx.sub)
-    n = _at_least_2("--n", int(params["n"]))
+    n = _at_least("--n", int(params["n"]), 2)
+    grid_density = _at_least("--grid-density", params["grid_density"], 1)
 
     def one():
         return log_frequency(ctx.sampler.orbit(n), a, n,
-                             grid_density=params["grid_density"])
+                             grid_density=grid_density)
 
     return _series_outputs("logfreq", one, params["replicas"])
 
 
 def _distribution(ctx: _Ctx, params: dict, seed: int, threads: int):
     f = _parse_observable(params["f"], ctx, params["formal"])
-    table = distribution_experiment(ctx.sub, f, int(params["levels"]),
-                                    int(params["samples"]), rng=seed)
+    levels = _at_least("--levels", int(params["levels"]), 0)
+    samples = _at_least("--samples", int(params["samples"]), 1)
+    table = distribution_experiment(ctx.sub, f, levels, samples, rng=seed)
     doc = {"schema_version": SCHEMA_VERSION,
            "levels": table.levels, "ks": table.ks,
            "samples": table.samples, "resampled": table.resampled}
@@ -386,7 +394,7 @@ _COMMANDS = {
     "distribution": _distribution,
 }
 
-# the only command that runs replicas on worker threads
+# the only command that runs replicas on worker processes
 _THREADED = ("density",)
 
 
@@ -478,8 +486,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, list[argparse.Ac
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         if name in _THREADED:
             p.add_argument("--threads", type=int, default=0,
-                           help="worker threads for the replicas; 0 or 1 runs "
-                                "serially (default 0)")
+                           help="worker processes; 1 runs serially; 0 (default) "
+                                "one per available CPU")
         p.add_argument("--out", default=".", help="output directory (default .)")
         recorded = options[name] = []
         return lambda *flags, **kw: recorded.append(p.add_argument(*flags, **kw))

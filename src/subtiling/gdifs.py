@@ -8,14 +8,16 @@ average-density estimator on one multiradius bracket kernel (exposed
 under two labels, pointwise and Birkhoff).  The zoom cursor and the
 kernel hold their pieces in one layout, a (dim, n) array of centres per
 vertex, and the sampler takes each step for all paths from one padded
-edge table.
+edge table.  Density replicas run on one fork-context process pool,
+one worker per available CPU by default; every replica draws from its
+own seed stream, so the estimates do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
@@ -733,7 +735,56 @@ def _replica(graph, mass, seed, k, J, depth, side, terms):
     return total / (J * k), syst / (J * k)
 
 
-def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threads, name):
+_POOLED = None  # (graph, mass) in a density pool worker, set when it starts
+
+
+def _start_worker(graph, mass):
+    global _POOLED
+    _POOLED = graph, mass
+
+
+def _pooled_replica(task):
+    return _replica(*_POOLED, *task)
+
+
+def _density_workers(threads: int, n_tasks: int) -> int:
+    """Worker processes for `n_tasks` replicas: `threads`, or one per available CPU if 0."""
+    if threads == 0:
+        try:
+            threads = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            threads = os.cpu_count() or 1
+    return min(threads, n_tasks)
+
+
+def _map_replicas(graph, mass, tasks, threads):
+    """(value, systematic bound) of every `_replica` task, in task order.
+
+    With more than one worker and the "fork" start method, the tasks run
+    on one process pool whose workers inherit the graph and mass through
+    their initializer, so a task carries only its own arguments.  The
+    first failing task in task order raises its exception here, after
+    the pending tasks are cancelled and the workers joined.
+    """
+    workers = _density_workers(threads, len(tasks))
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                     _start_worker, (graph, mass)) as pool:
+                futures = [pool.submit(_pooled_replica, task) for task in tasks]
+                try:
+                    return [f.result() for f in futures]
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+    return [_replica(graph, mass, *task) for task in tasks]
+
+
+def _run_density(graph, mass, runs, k, replicas, step=1.0 / 32.0, depth=None,
+                 side=None, terms=60, threads=0):
+    """One DensityEstimate per (seed, label) of `runs`, all replicas on one pool."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if replicas < 1:
@@ -751,31 +802,28 @@ def _run_density(graph, mass, seed, k, replicas, step, depth, side, terms, threa
     J = round(1.0 / step)
     if abs(J * step - 1.0) > 1e-12 or J < 1:
         raise ValueError("step must divide 1 exactly")
-    streams = np.random.SeedSequence(seed).spawn(replicas)
-    args = [(graph, mass, streams[r], k, J, depth, side, terms) for r in range(replicas)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: _replica(*a), args))
-    else:
-        results = [_replica(*a) for a in args]
-    vals = np.array([v for v, _ in results])
-    systs = np.array([s for _, s in results])
-    c_hat = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    return DensityEstimate(
-        method=name,
-        c_hat=c_hat,
-        stderr=stderr,
-        systematic_bound=float(systs.mean()),
-        alpha=graph.alpha,
-        k=k,
-        replicas=replicas,
-        step=float(step),
-        depth=depth,
-        side=side,
-        seed=seed,
-        per_replica=vals,
-    )
+    tasks = [(stream, k, J, depth, side, terms)
+             for seed, _ in runs for stream in np.random.SeedSequence(seed).spawn(replicas)]
+    results = _map_replicas(graph, mass, tasks, threads)
+    estimates = []
+    for i, (seed, name) in enumerate(runs):
+        vals = np.array([v for v, _ in results[i * replicas:(i + 1) * replicas]])
+        systs = np.array([s for _, s in results[i * replicas:(i + 1) * replicas]])
+        estimates.append(DensityEstimate(
+            method=name,
+            c_hat=float(vals.mean()),
+            stderr=float(vals.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0,
+            systematic_bound=float(systs.mean()),
+            alpha=graph.alpha,
+            k=k,
+            replicas=replicas,
+            step=float(step),
+            depth=depth,
+            side=side,
+            seed=seed,
+            per_replica=vals,
+        ))
+    return estimates
 
 
 def average_density_pointwise(
@@ -801,11 +849,15 @@ def average_density_pointwise(
     is the mean bracket half-width.  The same computation as
     `average_density_birkhoff`: the two differ only in the seed a caller
     passes and in the `method` label, so two seeds give two independent
-    estimates to cross-check.
+    estimates to cross-check.  `threads` is the number of worker
+    processes the replicas run on: 1 runs them serially in this process,
+    0 starts one per available CPU (at most one per replica), and where
+    the "fork" start method does not exist they run serially.  Every
+    replica draws from its own seed stream, so the estimate is the same
+    for every `threads`.
     """
-    return _run_density(
-        graph, mass, seed, k, replicas, step, depth, side, terms, threads, "pointwise"
-    )
+    return _run_density(graph, mass, [(seed, "pointwise")], k, replicas, step, depth,
+                        side, terms, threads)[0]
 
 
 def average_density_birkhoff(
@@ -823,8 +875,8 @@ def average_density_birkhoff(
     """Log-averaged average density c, labelled "birkhoff".
 
     The same estimator as `average_density_pointwise`, on the same
-    multiradius kernel; only the `method` label differs.
+    multiradius kernel, with the same `threads`; only the `method` label
+    differs.
     """
-    return _run_density(
-        graph, mass, seed, k, replicas, step, depth, side, terms, threads, "birkhoff"
-    )
+    return _run_density(graph, mass, [(seed, "birkhoff")], k, replicas, step, depth,
+                        side, terms, threads)[0]

@@ -2,7 +2,10 @@ import builtins
 import hashlib
 import importlib
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -518,6 +521,48 @@ def test_rerun_refuses_R_below_2(tmp_path, capsys):
         "error: --R must be at least 2, got 1.0"]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("second-order", "carpet", "--R", 50, "--c", 0.6, "--level", 0, "--replicas", 1),
+     "--level must be at least 1, got 0"),
+    (("second-order", "carpet", "--R", 50, "--c", 0.6, "--level", -2, "--replicas", 1),
+     "--level must be at least 1, got -2"),
+    (("second-order", "cantor", "--n", 243, "--c", 0.6, "--grid-density", 0),
+     "--grid-density must be at least 1, got 0"),
+    (("frequency", "cantor", "--b", 1, "--n", 243, "--c", 0.48, "--grid-density", 0),
+     "--grid-density must be at least 1, got 0"),
+    (("logfreq", "cantor", "--a", 0, "--n", 243, "--grid-density", -1),
+     "--grid-density must be at least 1, got -1"),
+    (("distribution", "cantor", "--levels", -1), "--levels must be at least 0, got -1"),
+    (("distribution", "cantor", "--samples", 0), "--samples must be at least 1, got 0"),
+], ids=["level0", "level-2", "second-order-grid0", "frequency-grid0", "logfreq-grid-1",
+        "levels-1", "samples0"])
+def test_out_of_range_options_refused_by_name(tmp_path, capsys, argv, line):
+    command, config, *rest = argv
+    assert run(command, "--config", fixture_path(config), *rest, "--out", tmp_path) == 2
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err.strip().splitlines() == ["error: " + line]
+
+
+@pytest.mark.parametrize("argv, key, value, line", [
+    (("distribution", "--levels", 2, "--samples", 50), "samples", 0,
+     "--samples must be at least 1, got 0"),
+    (("logfreq", "--a", 0, "--n", 243, "--replicas", 1), "grid_density", 0,
+     "--grid-density must be at least 1, got 0"),
+], ids=["samples0", "grid0"])
+def test_rerun_refuses_out_of_range_options_by_name(tmp_path, capsys, argv, key, value,
+                                                     line):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run(argv[0], "--config", fixture_path("cantor"), *argv[1:], "--out", first) == 0
+    path = first / (argv[0] + "_manifest.json")
+    man = read_json(path)
+    man["parameters"][key] = value
+    path.write_text(json.dumps(man))
+    capsys.readouterr()
+    assert run("rerun", "--manifest", path, "--out", again) == 2
+    assert not again.exists()
+    assert capsys.readouterr().err.strip().splitlines() == ["error: " + line]
+
+
 def test_rerun_without_recorded_hash(tmp_path):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run("logfreq", "--config", fixture_path("cantor"), "--a", 0,
@@ -612,7 +657,7 @@ def test_density_threads_match_serial(tmp_path):
     serial, threaded, again = tmp_path / "serial", tmp_path / "threaded", tmp_path / "again"
     args = ("density", "--config", fixture_path("cantor"), "--seed", 8,
             "--k", 4, "--replicas", 4)
-    assert run(*args, "--out", serial) == 0
+    assert run(*args, "--threads", 1, "--out", serial) == 0
     assert run(*args, "--threads", 2, "--out", threaded) == 0
     assert (serial / "density.json").read_bytes() == (threaded / "density.json").read_bytes()
     manifest = threaded / "density_manifest.json"
@@ -620,6 +665,56 @@ def test_density_threads_match_serial(tmp_path):
     assert run("rerun", "--manifest", manifest, "--out", again) == 0
     assert read_json(again / "density_manifest.json")["threads"] == 2
     assert (serial / "density.json").read_bytes() == (again / "density.json").read_bytes()
+
+
+@pytest.mark.parametrize("config, k, replicas", [("cantor", 4, 3), ("carpet", 2, 2)])
+def test_density_bytes_do_not_depend_on_the_workers(tmp_path, config, k, replicas):
+    args = ("density", "--config", fixture_path(config), "--seed", 4,
+            "--k", k, "--replicas", replicas)
+    texts = {}
+    for threads in (1, 2, None):
+        out = tmp_path / f"threads{threads}"
+        assert run(*args, *(() if threads is None else ("--threads", threads)),
+                   "--out", out) == 0
+        assert multiprocessing.active_children() == []
+        texts[threads] = (out / "density.json").read_bytes()
+        if threads != 1:
+            manifest = out / "density_manifest.json"
+            assert read_json(manifest)["threads"] == (threads or 0)
+            assert run("rerun", "--manifest", manifest, "--out", out / "again") == 0
+            texts[threads, "rerun"] = (out / "again" / "density.json").read_bytes()
+    assert len(set(texts.values())) == 1
+
+
+SILVER = {"alphabet": ["a", "b", "x"], "dim": 1,
+          "rules": {"a": "aab", "b": "a", "x": "xax"}}
+
+
+def test_density_worker_bracket_error_exits_3_like_serial(tmp_path, capsys):
+    # the silver ratio's inexact offsets drift past the zoom cursor's bound by k = 16
+    cfg = tmp_path / "silver.json"
+    cfg.write_text(json.dumps(SILVER))
+    lines = {}
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert run("density", "--config", cfg, "--k", 16, "--replicas", 2,
+                   "--threads", threads, "--out", out) == 3
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+        lines[threads] = capsys.readouterr().err.strip().splitlines()
+    assert len(lines[1]) == 1 and lines[1][0].startswith("bracket precision: ")
+    assert lines[2] == lines[1]
+
+
+def test_cli_import_leaves_out_the_pool_modules():
+    # the pool modules are imported only when density starts a pool
+    code = ("import sys, subtiling.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+                         check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_manifest_parameters_are_the_command_options(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 from fractions import Fraction
 
 import numpy as np
@@ -681,10 +682,47 @@ def test_density_methods_positive(cantor_ws):
 
 def test_density_threads_match_serial(cantor_ws):
     kw = dict(seed=5, k=6, replicas=8)
-    serial = average_density_birkhoff(cantor_ws.graph, cantor_ws.mass, **kw)
+    serial = average_density_birkhoff(cantor_ws.graph, cantor_ws.mass, threads=1, **kw)
     threaded = average_density_birkhoff(cantor_ws.graph, cantor_ws.mass,
                                         threads=4, **kw)
     assert np.array_equal(serial.per_replica, threaded.per_replica)
+
+
+def test_density_pool_matches_serial_and_leaves_no_worker(carpet_ws):
+    kw = dict(seed=9, k=2, replicas=3)
+    serial = average_density_pointwise(carpet_ws.graph, carpet_ws.mass, threads=1, **kw)
+    for threads in (0, 2, 5):
+        pooled = average_density_pointwise(carpet_ws.graph, carpet_ws.mass,
+                                           threads=threads, **kw)
+        assert pooled.as_dict() == serial.as_dict()
+        assert multiprocessing.active_children() == []
+
+
+def test_run_density_pools_several_runs(cantor_ws):
+    """Two labelled runs on one pool give the estimates of two serial calls."""
+    kw = dict(k=4, replicas=3)
+    pw, bk = gdifs._run_density(cantor_ws.graph, cantor_ws.mass,
+                                [(6, "pointwise"), (7, "birkhoff")], threads=2, **kw)
+    for est, fn, seed in ((pw, average_density_pointwise, 6),
+                          (bk, average_density_birkhoff, 7)):
+        want = fn(cantor_ws.graph, cantor_ws.mass, seed=seed, threads=1, **kw)
+        assert est.as_dict() == want.as_dict()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_density_worker_error_reraised(threads):
+    # the silver ratio's inexact offsets drift past the cursor's bound by k = 16
+    graph, mass = _generated_graph(_rule_1d(SILVER))
+    with pytest.raises(BracketPrecisionError, match="offset recursion drift"):
+        average_density_birkhoff(graph, mass, seed=1, k=16, replicas=3, threads=threads)
+    assert multiprocessing.active_children() == []
+
+
+def test_density_workers_sized_to_the_cpus(monkeypatch):
+    monkeypatch.setattr(gdifs.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [gdifs._density_workers(0, n) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+    assert [gdifs._density_workers(t, 4) for t in (1, 2, 6)] == [1, 2, 4]
 
 
 def test_density_labels_share_one_estimator(carpet_ws):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subtiling import (CoverageError, GridPatch, LengthCapError, LengthVector,
                        Tiling1DWindow, TransversalSampler, TwoSidedWord,
@@ -16,7 +17,7 @@ from subtiling import (CoverageError, GridPatch, LengthCapError, LengthVector,
 from subtiling import tiling
 from subtiling.substitution import parse_substitution
 
-from conftest import rng
+from conftest import admissible_substitutions_2d, rng
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +458,25 @@ def test_ball_weight_scan_matches_cell_oracle():
         assert np.allclose(scanned, _sort_scan(p, radii, w), rtol=1e-12, atol=0.0)
         for k in (0, len(radii) // 2, len(radii) - 1):
             assert count_B_tiles_ball_2d(p, radii[k], [1, 2]) == n_ar[1:, k].sum()
+
+
+@settings(max_examples=25, deadline=None)
+@given(sub=admissible_substitutions_2d(), data=st.data())
+def test_ball_weight_scan_matches_cell_oracle_on_generated_rules(sub, data):
+    """Supertile patches of generated plane rules, seeded with a contracting
+    letter and recentred on an interior lattice point: the scan equals the
+    per-cell oracle at 0, the covered radius, random radii and every tie."""
+    letter = data.draw(st.integers(1, sub.n_letters - 1))
+    p = grid_patch(sub, default_seed(sub, letter), 2 if sub.q == 3 else 1)
+    p = GridPatch(p.labels, x_lo=-data.draw(st.integers(1, p.width - 1)),
+                  y_top=data.draw(st.integers(1, p.height - 1)))
+    gen = rng(data.draw(st.integers(0, 2 ** 16)))
+    radii = _oracle_radii(gen, p)
+    n_ar = _cell_counts(p, radii, sub.n_letters)
+    w = gen.integers(-3, 8, size=sub.n_letters).astype(float)
+    assert np.array_equal(ball_weight_scan(p, radii, w), (w @ n_ar).astype(float))
+    w = gen.uniform(0.1, 1.0, size=sub.n_letters) / 3.0
+    assert np.allclose(ball_weight_scan(p, radii, w), w @ n_ar, rtol=1e-12, atol=0.0)
 
 
 def test_ball_weight_scan_exact_ties():
