@@ -229,9 +229,9 @@ def _analyze(loaded, params: dict, seed: int, threads: int):
 
 def _density(ctx: _Ctx, params: dict, seed: int, threads: int):
     method = params["method"]
-    # pointwise takes the seed and birkhoff the next; with both, one pool runs every replica
-    runs = [(s, m) for s, m in ((seed, "pointwise"), (seed + 1, "birkhoff"))
-            if method in (m, "both")]
+    # with both, one pool runs the replicas of the two estimates
+    runs = {"pointwise": [(seed, "pointwise")], "birkhoff": [(seed + 1, "birkhoff")],
+            "both": [(seed, "pointwise"), (seed + 1, "birkhoff")]}[method]
     ests = _run_density(ctx.graph, ctx.mass, runs, params["k"], params["replicas"],
                         threads=threads)
     doc: dict = {"schema_version": SCHEMA_VERSION, "alpha": ctx.alpha}

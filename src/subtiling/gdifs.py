@@ -807,8 +807,9 @@ def _run_density(graph, mass, runs, k, replicas, step=1.0 / 32.0, depth=None,
     results = _map_replicas(graph, mass, tasks, threads)
     estimates = []
     for i, (seed, name) in enumerate(runs):
-        vals = np.array([v for v, _ in results[i * replicas:(i + 1) * replicas]])
-        systs = np.array([s for _, s in results[i * replicas:(i + 1) * replicas]])
+        chunk = results[i * replicas:(i + 1) * replicas]
+        vals = np.array([v for v, _ in chunk])
+        systs = np.array([s for _, s in chunk])
         estimates.append(DensityEstimate(
             method=name,
             c_hat=float(vals.mean()),
