@@ -855,7 +855,8 @@ def average_density_pointwise(
     0 starts one per available CPU (at most one per replica), and where
     the "fork" start method does not exist they run serially.  Every
     replica draws from its own seed stream, so the estimate is the same
-    for every `threads`.
+    for every `threads`.  Forking a process that runs other threads can
+    deadlock, so such a caller passes `threads=1`.
     """
     return _run_density(graph, mass, [(seed, "pointwise")], k, replicas, step, depth,
                         side, terms, threads)[0]
