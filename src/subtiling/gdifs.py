@@ -773,12 +773,8 @@ def _map_replicas(graph, mass, tasks, threads):
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                      _start_worker, (graph, mass)) as pool:
-                futures = [pool.submit(_pooled_replica, task) for task in tasks]
-                try:
-                    return [f.result() for f in futures]
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
+                # map cancels the pending tasks when one raises; leaving the block joins
+                return list(pool.map(_pooled_replica, tasks))
     return [_replica(graph, mass, *task) for task in tasks]
 
 

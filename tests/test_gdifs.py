@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -717,6 +718,24 @@ def test_density_worker_error_reraised(threads):
     with pytest.raises(BracketPrecisionError, match="offset recursion drift"):
         average_density_birkhoff(graph, mass, seed=1, k=16, replicas=3, threads=threads)
     assert multiprocessing.active_children() == []
+
+
+def test_density_pool_cancels_pending_replicas_on_error(cantor_ws, tmp_path, monkeypatch):
+    # forked workers inherit the patched replica: the first raises at once, the
+    # others leave a mark and take a while, so only tasks already started run
+    def replica(graph, mass, stream, *rest):
+        if stream.spawn_key[-1] == 0:
+            raise BracketPrecisionError("first replica")
+        (tmp_path / str(stream.spawn_key[-1])).touch()
+        time.sleep(0.02)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(gdifs, "_replica", replica)
+    with pytest.raises(BracketPrecisionError, match="first replica"):
+        average_density_birkhoff(cantor_ws.graph, cantor_ws.mass, seed=1, k=1,
+                                 replicas=40, threads=2)
+    assert multiprocessing.active_children() == []
+    assert len(list(tmp_path.iterdir())) < 20
 
 
 def test_density_workers_sized_to_the_cpus(monkeypatch):
