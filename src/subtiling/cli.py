@@ -229,11 +229,13 @@ def _analyze(loaded, params: dict, seed: int, threads: int):
 
 def _density(ctx: _Ctx, params: dict, seed: int, threads: int):
     method = params["method"]
+    k = _at_least("--k", params["k"], 1)
+    replicas = _at_least("--replicas", params["replicas"], 1)
+    threads = _at_least("--threads", threads, 0)
     # with both, one pool runs the replicas of the two estimates
     runs = {"pointwise": [(seed, "pointwise")], "birkhoff": [(seed + 1, "birkhoff")],
             "both": [(seed, "pointwise"), (seed + 1, "birkhoff")]}[method]
-    ests = _run_density(ctx.graph, ctx.mass, runs, params["k"], params["replicas"],
-                        threads=threads)
+    ests = _run_density(ctx.graph, ctx.mass, runs, k, replicas, threads=threads)
     doc: dict = {"schema_version": SCHEMA_VERSION, "alpha": ctx.alpha}
     for est in ests:
         doc[est.method] = est.as_dict()
@@ -249,8 +251,6 @@ def _density(ctx: _Ctx, params: dict, seed: int, threads: int):
 
 def _mean_series(build_one, replicas: int):
     """Replica-average a series op; grids are identical by construction."""
-    if replicas < 1:
-        raise ValueError(f"replicas must be at least 1, got {replicas}")
     first = build_one()
     acc = first.partials.copy()
     for _ in range(replicas - 1):
@@ -264,7 +264,7 @@ def _series_outputs(stem: str, build_one, replicas: int, **extra):
     A one-point grid (--n 2, --R 2) has no decade to difference over: it
     reports its final partial as the final-decade one and no oscillation.
     """
-    mean = _mean_series(build_one, replicas)
+    mean = _mean_series(build_one, _at_least("--replicas", replicas, 1))
     final = float(mean.partials[-1])
     one_point = mean.grid.size == 1
     windowed = final if one_point else mean.final_decade(10.0)

@@ -25,7 +25,7 @@ sits in the measure-zero exceptional set.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -62,15 +62,6 @@ __all__ = [
     "CoverageError",
 ]
 
-# (kind, n, p) -> read-only power-sum table over k = 1..n: "tail" holds
-# sum_{i=j+1..n} i^-p at index j, "prefix" sum_{i=1..j} i^-p.  A series
-# command asks for one table and every replica reads it, so two slots
-# cover a command plus a caller that alternates between two exponents.
-_TABLE_SLOTS = 2
-_table_cache: dict[tuple[str, int, float], np.ndarray] = {}
-_table_lock = threading.Lock()
-
-
 def _running_sums(v: np.ndarray) -> np.ndarray:
     """0, v[0], v[0] + v[1], ... accumulated in np.longdouble.
 
@@ -82,6 +73,11 @@ def _running_sums(v: np.ndarray) -> np.ndarray:
     return np.cumsum(acc, out=acc)
 
 
+# (kind, n, p) -> read-only power-sum table over k = 1..n: "tail" holds
+# sum_{i=j+1..n} i^-p at index j, "prefix" sum_{i=1..j} i^-p.  A series
+# command asks for one table and every replica reads it, so two entries
+# cover a command plus a caller that alternates between two exponents.
+@functools.lru_cache(maxsize=2)
 def _power_sums(kind: str, n: int, p: float) -> np.ndarray:
     """Length n + 1 tail or prefix sums of k^-p, computed once and shared.
 
@@ -89,20 +85,13 @@ def _power_sums(kind: str, n: int, p: float) -> np.ndarray:
     by their running sums, so the build holds one float64 and one
     longdouble array of length n + 1.
     """
-    key = (kind, int(n), float(p))
-    with _table_lock:
-        tab = _table_cache.get(key)
-        if tab is None:
-            tab = np.arange(key[1] + 1, dtype=np.float64)
-            np.power(tab[1:], -key[2], out=tab[1:])
-            if kind == "tail":
-                tab[:] = _running_sums(tab[:0:-1])[::-1]
-            else:
-                tab[:] = _running_sums(tab[1:])
-            tab.flags.writeable = False
-            while len(_table_cache) >= _TABLE_SLOTS:
-                _table_cache.pop(next(iter(_table_cache)))
-            _table_cache[key] = tab
+    tab = np.arange(n + 1, dtype=np.float64)
+    np.power(tab[1:], -p, out=tab[1:])
+    if kind == "tail":
+        tab[:] = _running_sums(tab[:0:-1])[::-1]
+    else:
+        tab[:] = _running_sums(tab[1:])
+    tab.flags.writeable = False
     return tab
 
 
@@ -608,7 +597,8 @@ def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
     us = np.linspace(0.0, u_max, steps + 1)
     rs = np.exp(us)
     if kind == "grid":
-        v = ball_weight_scan(win_or_patch, rs, g.weights)
+        # the last node exp(log R_max) can overshoot R_max by an ulp
+        v = ball_weight_scan(win_or_patch, np.minimum(rs, R_max), g.weights)
     else:
         v = np.interp(rs, radii, volume)
     integrand = v * np.exp(-alpha * us) / (c * scale)

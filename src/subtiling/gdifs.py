@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .spectral import perron_vectors, require_admissible
-from .substitution import Substitution
+from .substitution import Substitution, substitution_matrix
 from .tiling import LengthVector, suspension_lengths
 
 __all__ = [
@@ -108,7 +108,6 @@ def build_graph(sub: Substitution) -> GdifsGraph:
     local = {g: i for i, g in enumerate(b_letters)}
     m = len(b_letters)
     lam = rep.lam
-    M = np.zeros((m, m), dtype=np.int64)
 
     if sub.dim == 1:
         lengths = suspension_lengths(sub)
@@ -146,10 +145,8 @@ def build_graph(sub: Substitution) -> GdifsGraph:
             us = (np.cumsum(sizes) - sizes / 2.0 - lam * xi[gs] / 2.0)[:, None]
         for pos, g in enumerate(img):
             if g in local:
-                r_local = local[g]
                 out_edges[s_local].append(len(edges))
-                edges.append((s_local, r_local, us[pos], pos))
-                M[r_local, s_local] += 1
+                edges.append((s_local, local[g], us[pos], pos))
 
     src, dst, us, pos = zip(*edges)
     edge_src = np.array(src, dtype=np.int64)
@@ -177,7 +174,7 @@ def build_graph(sub: Substitution) -> GdifsGraph:
         edge_u=edge_u,
         edge_pos=np.array(pos, dtype=np.int64),
         out_edges=out_edges,
-        B=M,
+        B=substitution_matrix(sub)[np.ix_(b_letters, b_letters)],
         overlap=overlap,
         exact_geometry=exact,
         lengths=lengths,

@@ -29,10 +29,12 @@ __all__ = [
     "is_primitive",
     "spectral_radius",
     "perron_vectors",
+    "snap_rational_eigenpair",
     "alpha_exponent",
     "admissibility_report",
     "require_admissible",
     "matrix_report",
+    "LengthAsymptotics",
     "length_asymptotics_check",
     "load_matrix_config",
 ]
@@ -119,15 +121,7 @@ def is_primitive(M: np.ndarray) -> bool:
         raise ValueError("matrix must be square")
     if n == 0:
         return False
-    k = n * n - 2 * n + 2
-    base = M > 0
-    acc = np.eye(n, dtype=bool)
-    while k:
-        if k & 1:
-            acc = (acc @ base) > 0
-        base = (base @ base) > 0
-        k >>= 1
-    return bool(acc.all())
+    return bool(np.linalg.matrix_power(M > 0, n * n - 2 * n + 2).all())
 
 
 # ---- power iteration ----

@@ -32,6 +32,7 @@ __all__ = [
     "supertile_lengths",
     "population_vector",
     "substitution_matrix",
+    "expand_grid",
     "in_language",
     "fixed_point_seeds",
     "orbit_generate",
@@ -277,16 +278,8 @@ def _length_rows(sub: Substitution, n: int, a: int = 0,
 
 def _length_by_squaring(sub: Substitution, a: int, n: int) -> int:
     """|sigma^n(a)| = (1 . M^n)[a], M^n by repeated squaring in Python ints."""
-    P = substitution_matrix(sub).tolist()
-    row = [1] * sub.n_letters
-    while n:
-        cols = list(zip(*P))
-        if n & 1:
-            row = [sum(r * p for r, p in zip(row, col)) for col in cols]
-        n >>= 1
-        if n:
-            P = [[sum(x * y for x, y in zip(r, col)) for col in cols] for r in P]
-    return row[a]
+    P = np.linalg.matrix_power(substitution_matrix(sub).astype(object), n)
+    return int(P[:, a].sum())
 
 
 def _check_cap(sub: Substitution, a: int, n: int, cap: int) -> None:
@@ -506,22 +499,6 @@ def _occurs_in_some_image(sub: Substitution, w: np.ndarray) -> bool:
     return any(im.tobytes().find(t) >= 0 for im in sub.images)
 
 
-_levels_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _supertile_levels(sub: Substitution, a: int, k: int) -> list[np.ndarray]:
-    """sigma^j(a) for j = 0..k, cached per substitution instance."""
-    per_sub = _levels_cache.setdefault(sub, {})
-    levels = per_sub.get(a)
-    if levels is None:
-        levels = [_as_word([a])]
-        per_sub[a] = levels
-    _check_cap(sub, a, k, LENGTH_CAP)
-    while len(levels) <= k:
-        levels.append(apply(sub, levels[-1]))
-    return levels[:k + 1]
-
-
 def accordion_decompose(sub: Substitution, w: np.ndarray) -> AccordionForm:
     """Canonical accordion decomposition of a language word.
 
@@ -536,7 +513,10 @@ def accordion_decompose(sub: Substitution, w: np.ndarray) -> AccordionForm:
     if len(w) == 0:
         return AccordionForm(0, [_as_word([])], [_as_word([])])
     a, k, p = _occurrence_witness(sub, w, 24)
-    levels = _supertile_levels(sub, a, k)
+    # the witness search built sigma^k under the length cap
+    levels = [_as_word([a])]
+    for _ in range(k):
+        levels.append(apply(sub, levels[-1]))
 
     rl = sub.rule_lengths
     u: list[np.ndarray] = []

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,25 @@ def test_analyze_admissible(tmp_path):
     man = read_json(tmp_path / "analyze_manifest.json")
     assert man["command"] == "analyze" and man["schema_version"] == 1
     assert "analyze.json" in man["outputs"]
+
+
+def test_package_exports_the_module_name_lists():
+    modules = (subtiling.substitution, subtiling.spectral, subtiling.gdifs,
+               subtiling.tiling, subtiling.ergodic)
+    exported = {name for name, value in vars(subtiling).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == {name for m in modules for name in m.__all__} | {"fixture_path"}
+
+
+def test_analyze_plane_two_vertex(tmp_path):
+    # M_B = [[8, 2], [1, 6]]: its masses are not dyadic, where the carpet's
+    # are powers of 8
+    assert run("analyze", "--config", fixture_path("plane_two_vertex"),
+               "--out", tmp_path) == 0
+    rep = read_json(tmp_path / "analyze.json")["report"]
+    assert rep["b_letters"] == [1, 2]
+    assert rep["rho_B"] == 8.732050807568877      # 7 + sqrt(3)
+    assert rep["alpha"] == 1.9724886382317772
 
 
 def test_analyze_inadmissible_still_writes(tmp_path):
@@ -534,8 +554,18 @@ def test_rerun_refuses_R_below_2(tmp_path, capsys):
      "--grid-density must be at least 1, got -1"),
     (("distribution", "cantor", "--levels", -1), "--levels must be at least 0, got -1"),
     (("distribution", "cantor", "--samples", 0), "--samples must be at least 1, got 0"),
+    (("density", "cantor", "--k", 0), "--k must be at least 1, got 0"),
+    (("density", "cantor", "--replicas", 0), "--replicas must be at least 1, got 0"),
+    (("density", "cantor", "--threads", -1), "--threads must be at least 0, got -1"),
+    (("second-order", "cantor", "--n", 243, "--c", 0.6, "--replicas", 0),
+     "--replicas must be at least 1, got 0"),
+    (("frequency", "cantor", "--b", 1, "--n", 243, "--c", 0.48, "--replicas", 0),
+     "--replicas must be at least 1, got 0"),
+    (("logfreq", "cantor", "--a", 0, "--n", 243, "--replicas", 0),
+     "--replicas must be at least 1, got 0"),
 ], ids=["level0", "level-2", "second-order-grid0", "frequency-grid0", "logfreq-grid-1",
-        "levels-1", "samples0"])
+        "levels-1", "samples0", "density-k0", "density-replicas0", "density-threads-1",
+        "second-order-replicas0", "frequency-replicas0", "logfreq-replicas0"])
 def test_out_of_range_options_refused_by_name(tmp_path, capsys, argv, line):
     command, config, *rest = argv
     assert run(command, "--config", fixture_path(config), *rest, "--out", tmp_path) == 2
@@ -548,14 +578,21 @@ def test_out_of_range_options_refused_by_name(tmp_path, capsys, argv, line):
      "--samples must be at least 1, got 0"),
     (("logfreq", "--a", 0, "--n", 243, "--replicas", 1), "grid_density", 0,
      "--grid-density must be at least 1, got 0"),
-], ids=["samples0", "grid0"])
+    (("density", "--k", 2, "--replicas", 1, "--threads", 1), "k", 0,
+     "--k must be at least 1, got 0"),
+    (("density", "--k", 2, "--replicas", 1, "--threads", 1), "threads", -1,
+     "--threads must be at least 0, got -1"),
+    (("frequency", "--b", 1, "--n", 243, "--c", 0.48, "--replicas", 1), "replicas", 0,
+     "--replicas must be at least 1, got 0"),
+], ids=["samples0", "grid0", "density-k0", "density-threads-1", "frequency-replicas0"])
 def test_rerun_refuses_out_of_range_options_by_name(tmp_path, capsys, argv, key, value,
                                                      line):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(argv[0], "--config", fixture_path("cantor"), *argv[1:], "--out", first) == 0
     path = first / (argv[0] + "_manifest.json")
     man = read_json(path)
-    man["parameters"][key] = value
+    # threads is recorded at the top level of a manifest, not as a parameter
+    (man if key == "threads" else man["parameters"])[key] = value
     path.write_text(json.dumps(man))
     capsys.readouterr()
     assert run("rerun", "--manifest", path, "--out", again) == 2

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from subtiling import (CoverageError, LengthCapError, MassVector, Observable,
                        SecondOrderSeries, TransversalSampler, TwoSidedWord,
                        admissibility_report, alpha_exponent, alpha_frequency,
-                       birkhoff_prefix_sums, build_graph,
-                       distribution_experiment, expand_grid, iterate,
+                       birkhoff_prefix_sums, build_graph, default_seed,
+                       distribution_experiment, expand_grid, grid_patch, iterate,
                        log_frequency, mass_observable, mass_vector,
                        measure_normalization, orbit_generate, ratio_check,
                        second_order_symbolic, second_order_tiling,
@@ -303,6 +303,17 @@ def test_tiling_series_coverage_errors(cantor, cantor_ws, carpet, carpet_ws):
                             carpet_ws.alpha, 1.0, 500.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_tiling_series_2d_at_covered_radius(carpet, carpet_ws, n):
+    # the last log-grid node exp(log R) can overshoot R by an ulp
+    patch = grid_patch(carpet, default_seed(carpet), n)
+    R, f = patch.covered_radius, Observable(np.array([0.0, 1.0]))
+    s = second_order_tiling(patch, f, carpet_ws.alpha, 1.0, R)
+    assert s.kind == "grid" and (s.partials > 0).all()
+    with pytest.raises(CoverageError, match="patch covers R <="):
+        second_order_tiling(patch, f, carpet_ws.alpha, 1.0, R + 0.5)
+
+
 def test_series_csv_and_oscillation(cantor_orbit, cantor, cantor_ws):
     s = second_order_symbolic(cantor_orbit, _ind(1), alpha_exponent(cantor),
                               0.482773, 3 ** 8, norm=cantor_ws.norm)
@@ -578,21 +589,26 @@ def test_series_accept_uint8_and_int64_orbits(cantor_orbit, cantor):
 def test_power_sum_tables_shared(cantor_orbit, cantor):
     alpha = alpha_exponent(cantor)
     n = 3 ** 7
+    ergodic._power_sums.cache_clear()
     second_order_symbolic(cantor_orbit, _ind(1), alpha, 1.0, n)
-    tab = ergodic._table_cache[("tail", n, alpha + 1.0)]
     second_order_symbolic(cantor_orbit, _ind(0), alpha, 2.0, n)
-    assert ergodic._table_cache[("tail", n, alpha + 1.0)] is tab
+    info = ergodic._power_sums.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    tab = ergodic._power_sums("tail", n, alpha + 1.0)
     assert not tab.flags.writeable and len(tab) == n + 1 and tab[n] == 0.0
     k = np.arange(1, n + 1, dtype=np.float64)
     assert tab[0] == pytest.approx(math.fsum(k ** -(alpha + 1.0)), rel=1e-14)
     assert tab[n - 1] == n ** -(alpha + 1.0)
     log_frequency(cantor_orbit, 0, n)
-    pre = ergodic._table_cache[("prefix", n, 1.0)]
+    pre = ergodic._power_sums("prefix", n, 1.0)
     assert pre[0] == 0.0 and pre[n] == pytest.approx(math.fsum(1.0 / k), rel=1e-14)
     alpha_frequency(cantor_orbit, 1, alpha, n)
     log_frequency(cantor_orbit, 1, n)
-    assert len(ergodic._table_cache) <= ergodic._TABLE_SLOTS
+    info = ergodic._power_sums.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2
+    misses = info.misses
     assert ergodic._power_sums("prefix", n, 1.0) is pre
+    assert ergodic._power_sums.cache_info().misses == misses
 
 
 def test_occurrences_helper():

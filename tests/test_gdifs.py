@@ -13,8 +13,8 @@ from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
                        PathPrefix, ZoomCursor, admissibility_report, alpha_exponent,
                        average_density_birkhoff, average_density_pointwise,
                        ball_measure_bracket, build_graph, cylinder_measure,
-                       load_substitution, mass_vector, natural_projection,
-                       suspension_lengths, transverse_weights)
+                       fixture_path, load_substitution, mass_vector,
+                       natural_projection, suspension_lengths, transverse_weights)
 from subtiling import gdifs
 from subtiling.gdifs import (_default_depth, _measures_multiradius, _norm_factor,
                              _split, dimension)
@@ -25,18 +25,13 @@ from conftest import (ADMISSIBLE_1D, Workset, admissible_substitutions_1d,
                       admissible_substitutions_2d, rng)
 
 # Two contracting letters with different masses and out-degrees; letter 1
-# has children of both letters.  Every shipped fixture has one vertex.
+# has children of both letters.  Every shipped 1-d fixture has one vertex.
 TWO_VERTEX = {"alphabet": ["0", "1", "2"], "dim": 1,
               "rules": {"0": "00000", "1": "10202", "2": "10001"}}
 # Two contracting letters whose tiles differ in length (2 and 1), so the
 # vertices differ in half-extent too.
 TWO_LENGTHS = {"alphabet": ["0", "1", "2"], "dim": 1,
                "rules": {"0": "000", "1": "1002", "2": "21"}}
-# A plane rule with two contracting letters, M_B = [[8, 2], [1, 6]]: its
-# masses are not dyadic, where the carpet's are powers of 8.
-PLANE_TWO_VERTEX = {"alphabet": ["0", "1", "2"], "dim": 2,
-                    "rules": {"0": ["000", "000", "000"], "1": ["121", "111", "111"],
-                              "2": ["122", "202", "221"]}}
 
 
 @pytest.fixture(scope="module")
@@ -865,7 +860,7 @@ KERNEL_CASES = ([(name, side) for name in ADMISSIBLE_1D for side in ("right", "t
 def worksets(subs, carpet_ws, two_vertex_ws):
     cache = {"carpet": carpet_ws, "two_vertex": two_vertex_ws,
              "two_lengths": Workset(parse_substitution(json.dumps(TWO_LENGTHS))),
-             "plane_two_vertex": Workset(parse_substitution(json.dumps(PLANE_TWO_VERTEX)))}
+             "plane_two_vertex": Workset(load_substitution(fixture_path("plane_two_vertex")))}
 
     def get(name):
         if name not in cache:

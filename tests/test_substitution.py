@@ -10,8 +10,8 @@ from subtiling import (ConfigError, LengthCapError, accordion_decompose,
                        in_language, iterate, load_substitution, orbit_generate,
                        population_vector, power, substitution_matrix,
                        supertile_lengths, word_from_str, word_to_str)
-from subtiling.substitution import (LENGTH_CAP, _as_word, _lengths_cache,
-                                    parse_substitution)
+from subtiling.substitution import (LENGTH_CAP, _as_word, _length_by_squaring,
+                                    _lengths_cache, parse_substitution)
 
 from conftest import admissible_substitutions_1d, admissible_substitutions_2d, rng
 
@@ -104,6 +104,15 @@ def test_failing_cap_check_stops_at_first_level_past_cap():
         iterate(cantor, 0, 20_000)
     rows = _lengths_cache[cantor]
     assert len(rows) == 18 and rows[-1][0] == 3 ** 17 > LENGTH_CAP >= rows[-2][0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=st.one_of(admissible_substitutions_1d(), admissible_substitutions_2d()),
+       n=st.integers(0, 60), data=st.data())
+def test_length_by_squaring_matches_supertile_lengths(sub, n, data):
+    # the exact size the cap message reports, past int64 too
+    a = data.draw(st.integers(0, sub.n_letters - 1))
+    assert _length_by_squaring(sub, a, n) == supertile_lengths(sub, n)[n][a]
 
 
 def test_supertile_lengths_exact_beyond_int64(cantor1001):
