@@ -7,10 +7,10 @@ parameters, seed, output files and the sha256 of the config bytes read.
 
 One driver, `_run`, does what every command shares: it reads the config
 once, refuses a matrix-only config for every command but `analyze`,
-builds the admissible working set `_Ctx`, writes the files and the
-standard output that the command's body returns, and writes the
-manifest.  A body maps (working set, parameters, seed, threads) to
-(files, stdout text, exit code).  A manifest's parameters are the
+builds the admissible working set (`ergodic._WorkingSet`), writes the
+files and the standard output that the command's body returns, and
+writes the manifest.  A body maps (working set, parameters, seed,
+threads) to (files, stdout text, exit code).  A manifest's parameters are the
 command's own options as the parser declares them; only `density`
 takes --threads, the number of worker processes its replicas run on
 (0, the default, one per available CPU), and the other manifests
@@ -43,12 +43,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .ergodic import (Observable, TransversalSampler, log_frequency,
-                      alpha_frequency, distribution_experiment,
-                      mass_observable, measure_normalization,
-                      second_order_symbolic, second_order_tiling,
-                      transverse_weights)
-from .gdifs import BracketPrecisionError, _run_density, build_graph, mass_vector
+from .ergodic import (Observable, _WorkingSet, _renormalized_sums, alpha_frequency,
+                      log_frequency, mass_observable, second_order_symbolic,
+                      second_order_tiling, transverse_weights)
+from .gdifs import BracketPrecisionError, _run_density
 from .spectral import _matrix_config, admissibility_report, matrix_report
 from .substitution import (ConfigError, LengthCapError, Substitution, TwoSidedWord,
                            _json_doc, parse_substitution)
@@ -101,20 +99,6 @@ def _load_config(path: str, recorded_sha256: Optional[str] = None):
     return "substitution", parse_substitution(text, path), data
 
 
-class _Ctx:
-    """Admissible-substitution working set shared by the verify commands."""
-
-    def __init__(self, sub: Substitution, seed: int) -> None:
-        self.sub = sub
-        self.graph = build_graph(sub)  # raises on an inadmissible substitution
-        self.alpha = float(self.graph.alpha)
-        self.xi_len = self.graph.lengths
-        tw = transverse_weights(sub, self.xi_len)
-        self.mass = mass_vector(self.graph, tw.xi_tr)
-        self.norm = measure_normalization(sub, self.xi_len, tw, self.mass)
-        self.sampler = TransversalSampler(sub, self.graph, self.mass, seed)
-
-
 def _parse_letter(token: str, sub: Substitution) -> int:
     try:
         return sub.letter_id(token)
@@ -129,7 +113,7 @@ def _parse_letter(token: str, sub: Substitution) -> int:
     return v
 
 
-def _parse_observable(spec: Optional[str], ctx: _Ctx, formal: bool) -> Observable:
+def _parse_observable(spec: Optional[str], ctx: _WorkingSet, formal: bool) -> Observable:
     """"letter:weight,..." pairs; default is the per-letter mass observable."""
     if spec is None:
         return mass_observable(ctx.graph, ctx.mass, ctx.sub.n_letters)
@@ -151,7 +135,7 @@ def _at_least(option: str, value, least: int):
     return value
 
 
-def _parse_c(spec: str, ctx: _Ctx) -> tuple[float, str]:
+def _parse_c(spec: str, ctx: _WorkingSet) -> tuple[float, str]:
     """A float, or a density-report JSON with a c_hat field; coupled via gamma."""
     try:
         c_hat = float(spec)
@@ -227,7 +211,7 @@ def _analyze(loaded, params: dict, seed: int, threads: int):
     return {"analyze.json": text}, text, EXIT_OK if rep.admissible else EXIT_INPUT
 
 
-def _density(ctx: _Ctx, params: dict, seed: int, threads: int):
+def _density(ctx: _WorkingSet, params: dict, seed: int, threads: int):
     method = params["method"]
     k = _at_least("--k", params["k"], 1)
     replicas = _at_least("--replicas", params["replicas"], 1)
@@ -295,7 +279,7 @@ def _series_outputs(stem: str, build_one, replicas: int, **extra):
     return files, "  ".join(summary) + "\n", EXIT_OK
 
 
-def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
+def _second_order(ctx: _WorkingSet, params: dict, seed: int, threads: int):
     sub = ctx.sub
     f = _parse_observable(params["f"], ctx, params["formal"])
     c, c_source = _parse_c(params["c"], ctx)
@@ -304,6 +288,10 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
     R = params["R"]
     if sub.dim == 2 and n is not None:
         raise ConfigError("2-d configs take --R, not --n")
+    if n is not None and R is not None:
+        raise ConfigError("pass --n (symbolic) or --R (tiling), not both")
+    if sub.dim == 1 and params["level"] is not None:
+        raise ConfigError("1-d configs take no --level")
     # a manifest's R may be any JSON number; ints compare with floats exactly
     if R is not None and not abs(R) <= sys.float_info.max:
         raise ConfigError(f"--R must be a finite number, got {R!r}")
@@ -347,7 +335,7 @@ def _second_order(ctx: _Ctx, params: dict, seed: int, threads: int):
                            c_source=c_source)
 
 
-def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
+def _frequency(ctx: _WorkingSet, params: dict, seed: int, threads: int):
     b = _parse_letter(params["b"], ctx.sub)
     c, c_source = _parse_c(params["c"], ctx)
     n = _at_least("--n", int(params["n"]), 2)
@@ -361,7 +349,7 @@ def _frequency(ctx: _Ctx, params: dict, seed: int, threads: int):
     return _series_outputs("frequency", one, params["replicas"], c_source=c_source)
 
 
-def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
+def _logfreq(ctx: _WorkingSet, params: dict, seed: int, threads: int):
     a = _parse_letter(params["a"], ctx.sub)
     n = _at_least("--n", int(params["n"]), 2)
     grid_density = _at_least("--grid-density", params["grid_density"], 1)
@@ -373,11 +361,11 @@ def _logfreq(ctx: _Ctx, params: dict, seed: int, threads: int):
     return _series_outputs("logfreq", one, params["replicas"])
 
 
-def _distribution(ctx: _Ctx, params: dict, seed: int, threads: int):
+def _distribution(ctx: _WorkingSet, params: dict, seed: int, threads: int):
     f = _parse_observable(params["f"], ctx, params["formal"])
     levels = _at_least("--levels", int(params["levels"]), 0)
     samples = _at_least("--samples", int(params["samples"]), 1)
-    table = distribution_experiment(ctx.sub, f, levels, samples, rng=seed)
+    table = _renormalized_sums(ctx, f, levels, samples)
     doc = {"schema_version": SCHEMA_VERSION,
            "levels": table.levels, "ks": table.ks,
            "samples": table.samples, "resampled": table.resampled}
@@ -409,7 +397,7 @@ def _run(command: str, config: str, out_dir: str, seed: int, threads: int,
         raise ConfigError("this command needs substitution rules, "
                           "not a matrix-only config")
     else:
-        source = _Ctx(obj, seed)
+        source = _WorkingSet(obj, seed)
     files, stdout, code = _COMMANDS[command](source, params, seed, threads)
     os.makedirs(out_dir, exist_ok=True)
     for name, text in files.items():

@@ -888,6 +888,21 @@ class TransversalSampler:
             f"for radius {float(R)!r}")
 
 
+class _WorkingSet:
+    """Graph, weights, masses, normalization and sampler of one admissible
+    substitution: the one recipe the commands and the experiments share."""
+
+    def __init__(self, sub: Substitution, seed=0) -> None:
+        self.sub = sub
+        self.graph = build_graph(sub)  # raises on an inadmissible substitution
+        self.alpha = float(self.graph.alpha)
+        self.xi_len = self.graph.lengths
+        self.tw = transverse_weights(sub, self.xi_len)
+        self.mass = mass_vector(self.graph, self.tw.xi_tr)
+        self.norm = measure_normalization(sub, self.xi_len, self.tw, self.mass)
+        self.sampler = TransversalSampler(sub, self.graph, self.mass, seed)
+
+
 def _window_labels(sub: Substitution, letter: int, level: int,
                    r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> np.ndarray:
     """Rows [r_lo, r_hi) x cols [c_lo, c_hi) of the level-N expansion.
@@ -976,19 +991,22 @@ def distribution_experiment(sub: Substitution, f: Observable, n_levels: int,
     21 quantiles and the KS distance to uniform per level.  Requires
     dim 1 and an integer inflation factor; deterministic in rng.
     """
-    if sub.dim != 1:
+    return _renormalized_sums(_WorkingSet(sub, rng), f, n_levels, samples)
+
+
+def _renormalized_sums(ws: _WorkingSet, f: Observable, n_levels: int,
+                       samples: int) -> DistributionTable:
+    """distribution_experiment on a working set; draws from its sampler."""
+    if ws.sub.dim != 1:
         raise ValueError("the experiment renormalizes 1-d prefix sums")
     if n_levels < 0 or samples < 1:
         raise ValueError("need n_levels >= 0 and samples >= 1")
-    rep = require_admissible(sub)
-    lam = int(round(rep.lam))
-    if abs(rep.lam - lam) > 1e-9 * rep.lam:
+    graph = ws.graph
+    lam = int(round(graph.lam))
+    if abs(graph.lam - lam) > 1e-9 * graph.lam:
         raise ValueError("renormalized sums need an integer inflation factor")
-    rho = rep.rho_B
-    graph = build_graph(sub)
-    tw = transverse_weights(sub)
-    mass = mass_vector(graph, tw.xi_tr)
-    sampler = TransversalSampler(sub, graph, mass, rng)
+    rho = graph.rho_B
+    sampler = ws.sampler
     span = lam ** n_levels + 1
     letters, pos, depth, resampled = sampler.addressed_batch(samples, span)
     w = f.weights

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from subtiling import (GdifsGraph, MassVector, Substitution, admissibility_report,
-                       build_graph, fixture_path, load_substitution, mass_vector,
-                       measure_normalization, suspension_lengths,
-                       transverse_weights)
+from subtiling import Substitution, admissibility_report, fixture_path, load_substitution
+from subtiling.ergodic import _WorkingSet as Workset
 from subtiling.substitution import parse_substitution
 
 FIXTURES = ["cantor", "cantor1001", "sigma2", "sigma_k0", "sigma_k1",
@@ -34,19 +32,6 @@ def cantor1001(subs) -> Substitution:
 @pytest.fixture(scope="session")
 def carpet(subs) -> Substitution:
     return subs["carpet"]
-
-
-class Workset:
-    """Graph, weights, masses and normalization of one admissible fixture."""
-
-    def __init__(self, sub: Substitution) -> None:
-        self.sub = sub
-        self.graph: GdifsGraph = build_graph(sub)
-        self.tw = transverse_weights(sub)
-        self.mass: MassVector = mass_vector(self.graph, self.tw.xi_tr)
-        self.xi_len = suspension_lengths(sub) if sub.dim == 1 else None
-        self.norm = measure_normalization(sub, self.xi_len, self.tw, self.mass)
-        self.alpha = self.graph.alpha
 
 
 @pytest.fixture(scope="session")

@@ -193,6 +193,19 @@ def test_density_repeatable_bytes(tmp_path):
     assert doc["cross_check_delta"] >= 0.0
 
 
+@pytest.mark.parametrize("method", ["pointwise", "birkhoff"])
+def test_density_single_method(tmp_path, method):
+    args = ("density", "--config", fixture_path("cantor"), "--seed", 11,
+            "--k", 6, "--replicas", 4)
+    assert run(*args, "--method", method, "--out", tmp_path / method) == 0
+    assert run(*args, "--method", "both", "--out", tmp_path / "both") == 0
+    doc = read_json(tmp_path / method / "density.json")
+    assert set(doc) == {"schema_version", "alpha", method, "estimate"}
+    assert doc["estimate"] == doc[method] and doc[method]["method"] == method
+    # each method keeps its own seed, so the block is the one `both` reports
+    assert doc[method] == read_json(tmp_path / "both" / "density.json")[method]
+
+
 @pytest.mark.parametrize("bad", [("--k", 0), ("--replicas", 0), ("--replicas", -1),
                                  ("--threads", -1), ("--threads", -3)])
 def test_density_rejects_bad_counts(tmp_path, capsys, bad):
@@ -309,6 +322,27 @@ def test_second_order_2d_needs_R(tmp_path):
     code = run("second-order", "--config", fixture_path("carpet"),
                "--n", 100, "--c", 0.7, "--out", tmp_path)
     assert code == 2
+
+
+def test_second_order_2d_level_and_rerun(tmp_path):
+    # R 50 needs 3^level >= 8 * 52 cells a side, so the automatic level is 6
+    args = ("second-order", "--config", fixture_path("carpet"), "--R", 50,
+            "--c", 0.7, "--replicas", 2, "--seed", 3)
+    outs = {level: tmp_path / f"level{level}" for level in ("auto", 6, 7)}
+    for level, out in outs.items():
+        extra = () if level == "auto" else ("--level", level)
+        assert run(*args, *extra, "--out", out) == 0
+        assert run("rerun", "--manifest", out / "second_order_manifest.json",
+                   "--out", out / "again") == 0
+        for name in ("second_order.csv", "second_order.json"):
+            assert (out / name).read_bytes() == (out / "again" / name).read_bytes()
+    doc = read_json(outs["auto"] / "second_order.json")
+    assert doc["engine"] == "grid" and doc["target"] == 1.0
+    assert np.isfinite(doc["final_decade_partial"])
+    for name in ("second_order.csv", "second_order.json"):
+        assert (outs["auto"] / name).read_bytes() == (outs[6] / name).read_bytes()
+    assert (outs[7] / "second_order.csv").read_bytes() != \
+        (outs[6] / "second_order.csv").read_bytes()
 
 
 @pytest.mark.parametrize("config", ["cantor", "carpet"])
@@ -436,6 +470,25 @@ def test_frequency_rejects_a_letter(tmp_path):
     assert code == 2
 
 
+def test_letters_by_name_or_by_id(tmp_path, capsys):
+    # letter names that are not digits, so "1" can only be read as an id
+    cfg = tmp_path / "ax.json"
+    cfg.write_text(json.dumps({"alphabet": ["a", "x"], "dim": 1,
+                               "rules": {"a": "aaa", "x": "xax"}}))
+    args = ("frequency", "--config", cfg, "--n", 3 ** 5, "--c", 0.48,
+            "--replicas", 2, "--seed", 5)
+    assert run(*args, "--b", "x", "--out", tmp_path / "name") == 0
+    assert run(*args, "--b", 1, "--out", tmp_path / "id") == 0
+    for name in ("frequency.csv", "frequency.json"):
+        assert (tmp_path / "name" / name).read_bytes() == \
+            (tmp_path / "id" / name).read_bytes()
+    capsys.readouterr()
+    assert run(*args, "--b", 7, "--out", tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: letter id 7 out of range"]
+
+
 def test_logfreq_run(tmp_path):
     code = run("logfreq", "--config", fixture_path("cantor"),
                "--a", "0", "--n", 3 ** 5, "--replicas", 2, "--out", tmp_path)
@@ -451,6 +504,29 @@ def test_distribution_run(tmp_path):
     doc = read_json(tmp_path / "distribution.json")
     assert doc["ks"][0] == 1.0
     assert (tmp_path / "distribution.csv").exists()
+
+
+def test_distribution_builds_one_working_set(tmp_path, monkeypatch):
+    built = {"graph": 0, "sampler": 0}
+    for key, cls in (("graph", subtiling.gdifs.GdifsGraph),
+                     ("sampler", subtiling.ergodic.TransversalSampler)):
+        def counting_init(self, *args, _real=cls.__init__, _key=key, **kwargs):
+            built[_key] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    assert run("distribution", "--config", fixture_path("cantor"),
+               "--levels", 3, "--samples", 200, "--out", tmp_path) == 0
+    assert built == {"graph": 1, "sampler": 1}
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_distribution_cli_matches_library(tmp_path, cantor, cantor_ws, seed):
+    f = subtiling.mass_observable(cantor_ws.graph, cantor_ws.mass, cantor.n_letters)
+    table = subtiling.distribution_experiment(cantor, f, 3, 200, rng=seed)
+    assert run("distribution", "--config", fixture_path("cantor"), "--levels", 3,
+               "--samples", 200, "--seed", seed, "--out", tmp_path) == 0
+    assert (tmp_path / "distribution.csv").read_text() == table.csv()
 
 
 # ---- rerun ----
@@ -563,9 +639,17 @@ def test_rerun_refuses_R_below_2(tmp_path, capsys):
      "--replicas must be at least 1, got 0"),
     (("logfreq", "cantor", "--a", 0, "--n", 243, "--replicas", 0),
      "--replicas must be at least 1, got 0"),
+    (("second-order", "cantor", "--c", 0.6), "pass --n (symbolic) or --R (tiling)"),
+    (("second-order", "cantor", "--n", 243, "--R", 50, "--c", 0.6),
+     "pass --n (symbolic) or --R (tiling), not both"),
+    (("second-order", "cantor", "--n", 243, "--level", 4, "--c", 0.6),
+     "1-d configs take no --level"),
+    (("second-order", "cantor", "--R", 50, "--level", 4, "--c", 0.6),
+     "1-d configs take no --level"),
 ], ids=["level0", "level-2", "second-order-grid0", "frequency-grid0", "logfreq-grid-1",
         "levels-1", "samples0", "density-k0", "density-replicas0", "density-threads-1",
-        "second-order-replicas0", "frequency-replicas0", "logfreq-replicas0"])
+        "second-order-replicas0", "frequency-replicas0", "logfreq-replicas0",
+        "no-n-or-R", "n-and-R", "n-and-level-1d", "R-and-level-1d"])
 def test_out_of_range_options_refused_by_name(tmp_path, capsys, argv, line):
     command, config, *rest = argv
     assert run(command, "--config", fixture_path(config), *rest, "--out", tmp_path) == 2
@@ -584,12 +668,19 @@ def test_out_of_range_options_refused_by_name(tmp_path, capsys, argv, line):
      "--threads must be at least 0, got -1"),
     (("frequency", "--b", 1, "--n", 243, "--c", 0.48, "--replicas", 1), "replicas", 0,
      "--replicas must be at least 1, got 0"),
-], ids=["samples0", "grid0", "density-k0", "density-threads-1", "frequency-replicas0"])
+    (("second-order", "--n", 243, "--c", 0.6, "--replicas", 1), "R", 50,
+     "pass --n (symbolic) or --R (tiling), not both"),
+    (("second-order", "--n", 243, "--c", 0.6, "--replicas", 1), "level", 4,
+     "1-d configs take no --level"),
+    (("second-order", "--R", 50, "--c", 0.6, "--replicas", 1), "level", 4,
+     "1-d configs take no --level"),
+], ids=["samples0", "grid0", "density-k0", "density-threads-1", "frequency-replicas0",
+        "n-and-R", "n-and-level-1d", "R-and-level-1d"])
 def test_rerun_refuses_out_of_range_options_by_name(tmp_path, capsys, argv, key, value,
                                                      line):
     first, again = tmp_path / "first", tmp_path / "again"
     assert run(argv[0], "--config", fixture_path("cantor"), *argv[1:], "--out", first) == 0
-    path = first / (argv[0] + "_manifest.json")
+    path = first / (argv[0].replace("-", "_") + "_manifest.json")
     man = read_json(path)
     # threads is recorded at the top level of a manifest, not as a parameter
     (man if key == "threads" else man["parameters"])[key] = value

@@ -16,6 +16,7 @@ from subtiling import (MassVector, Observable, admissibility_report,
                        snap_rational_eigenpair, spectral_radius,
                        substitution_matrix, suspension_lengths,
                        transverse_weights)
+from subtiling.spectral import _PERRON_STEPS
 from subtiling.substitution import ConfigError, parse_substitution
 
 from conftest import ADMISSIBLE_1D, FIXTURES, rng
@@ -302,10 +303,10 @@ def _long_cycle(p):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_perron_falls_back_to_eig_on_long_period(side):
-    # the shifted iteration contracts by about cos(pi / 60) per step here,
-    # far too slowly for 500 steps
-    pd = perron_vectors(_long_cycle(60), side=side, normalization="min", max_iter=500)
-    assert pd.iterations == 500
+    # the shifted iteration contracts by about cos(pi / 60) per step here and
+    # would settle only after 13,931 steps
+    pd = perron_vectors(_long_cycle(60), side=side, normalization="min")
+    assert pd.iterations == _PERRON_STEPS
     assert pd.rho == pytest.approx(2.0 ** (1.0 / 60), rel=1e-14)
     assert pd.vec.min() == 1.0 and pd.residual <= 1e-13
     assert pd.vec.max() == pytest.approx(2.0 ** (59 / 60), rel=1e-12)
