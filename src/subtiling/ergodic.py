@@ -26,7 +26,7 @@ sits in the measure-zero exceptional set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,8 +48,6 @@ __all__ = [
     "Observable",
     "mass_observable",
     "birkhoff_prefix_sums",
-    "RatioTable",
-    "ratio_check",
     "SecondOrderSeries",
     "second_order_symbolic",
     "second_order_tiling",
@@ -284,15 +282,6 @@ class Observable:
         w[letter] = 1.0
         return cls(w)
 
-    def __add__(self, other: "Observable") -> "Observable":
-        if not isinstance(other, Observable):
-            return NotImplemented
-        n = max(len(self.weights), len(other.weights))
-        w = np.zeros(n)
-        w[: len(self.weights)] += self.weights
-        w[: len(other.weights)] += other.weights
-        return Observable(w, formal=self.formal or other.formal)
-
 
 def mass_observable(graph: GdifsGraph, mass: MassVector,
                     n_letters: Optional[int] = None) -> Observable:
@@ -370,63 +359,6 @@ def birkhoff_prefix_sums(x: Union[TwoSidedWord, np.ndarray, Sequence[int]],
     out[0] = 0
     np.cumsum(vals, out=out[1:])
     return out
-
-
-# ---- first-order ratio check ----
-
-@dataclass(frozen=True, eq=False)
-class RatioTable:
-    """S_n f / S_n g at the grid scales, with the measure-ratio target."""
-    grid: np.ndarray
-    ratios: np.ndarray
-    target: Optional[float]
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.grid, dtype=np.int64)
-        r = np.asarray(self.ratios, dtype=np.float64)
-        if g.ndim != 1 or r.shape != g.shape:
-            raise ValueError("grid and ratios must be vectors of equal length")
-        if g.size and (np.diff(g) <= 0).any():
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "ratios", r)
-
-
-def _prefix_or_observable(x, fs, n_max: int) -> np.ndarray:
-    if isinstance(fs, Observable):
-        return birkhoff_prefix_sums(x, fs, n_max)
-    arr = np.asarray(fs)
-    if arr.ndim != 1 or arr.size < n_max + 1:
-        raise ValueError(f"prefix-sum array must cover k = 0..{n_max}")
-    return arr
-
-
-def ratio_check(x, f, g, n_grid, norm: Optional[MeasureNormalization] = None
-                ) -> RatioTable:
-    """Hopf-style ratio table S_n f / S_n g on a grid of prefix lengths.
-
-    f and g are observables or precomputed prefix-sum arrays.  The
-    target column is the ratio of cylinder integrals when a
-    normalization is supplied.  Scales where S_n g = 0 give nan; all
-    of them zero is an error.
-    """
-    grid = _as_grid(n_grid)
-    n_max = int(grid[-1])
-    sf = _prefix_or_observable(x, f, n_max)
-    sg = _prefix_or_observable(x, g, n_max)
-    num = sf[grid].astype(np.float64)
-    den = sg[grid].astype(np.float64)
-    if not den.any():
-        raise ValueError("S_n g vanishes on the whole grid")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den != 0.0, num / den, np.nan)
-    target = None
-    if norm is not None and isinstance(f, Observable) and isinstance(g, Observable):
-        ig = norm.integral(g)
-        if ig == 0.0:
-            raise ValueError("g has zero cylinder integral; ratio target undefined")
-        target = norm.integral(f) / ig
-    return RatioTable(grid, ratios, target)
 
 
 # ---- report grids ----
@@ -568,8 +500,8 @@ def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
     linear function of R and divided by c R^alpha.  dim 2 (grid
     patch): the inner integral is the weight of the cells inside the
     ball of radius R, divided by c (2R)^alpha.  The outer integral
-    runs from R = 1 on a uniform log grid with trapezoid weights;
-    every 8th node is a report point, starting at t = 2.
+    runs from R = 1 to R_max itself on a uniform log grid with trapezoid
+    weights; every 8th node is a report point, starting at t = 2.
     """
     _check_alpha(alpha)
     _check_c(c)
@@ -596,9 +528,9 @@ def second_order_tiling(win_or_patch, g: Observable, alpha: float, c: float,
     steps = 8 * max(1, int(np.ceil(u_max / (8.0 * du_target) - 1e-12)))
     us = np.linspace(0.0, u_max, steps + 1)
     rs = np.exp(us)
+    rs[-1] = R_max
     if kind == "grid":
-        # the last node exp(log R_max) can overshoot R_max by an ulp
-        v = ball_weight_scan(win_or_patch, np.minimum(rs, R_max), g.weights)
+        v = ball_weight_scan(win_or_patch, rs, g.weights)
     else:
         v = np.interp(rs, radii, volume)
     integrand = v * np.exp(-alpha * us) / (c * scale)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from fractions import Fraction
@@ -37,9 +36,7 @@ __all__ = [
     "DensityEstimate",
     "BracketPrecisionError",
     "build_graph",
-    "dimension",
     "mass_vector",
-    "natural_projection",
     "cylinder_measure",
     "ball_measure_bracket",
     "ZoomCursor",
@@ -181,14 +178,6 @@ def build_graph(sub: Substitution) -> GdifsGraph:
     )
 
 
-def dimension(graph: GdifsGraph) -> float:
-    """Similarity dimension log(rho_B) / log(lambda) of the attractor family."""
-    if graph.rho_B <= 1.0 + 1e-12:
-        warnings.warn("graph spectral radius is 1; attractor is a point set of dimension 0")
-        return 0.0
-    return math.log(graph.rho_B) / math.log(graph.lam)
-
-
 # ---------------------------------------------------------------------------
 # masses and cylinder measures
 
@@ -218,9 +207,6 @@ class PathPrefix:
     start: int
     edges: np.ndarray  # global edge ids, shape (L,)
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
 
 def _validate_path(graph: GdifsGraph, path: PathPrefix) -> None:
     if not 0 <= path.start < graph.n_vertices:
@@ -243,25 +229,6 @@ def cylinder_measure(graph: GdifsGraph, mass: MassVector, path: PathPrefix) -> f
     n = len(path.edges)
     last = path.start if n == 0 else int(graph.edge_dst[path.edges[-1]])
     return float(mass.h[last]) / (mass.c0 * graph.rho_B**n)
-
-
-def natural_projection(
-    graph: GdifsGraph, path: PathPrefix, terms: int | None = None
-) -> tuple[np.ndarray, float]:
-    """Point of the attractor addressed by a path, plus a truncation bound.
-
-    Sums lambda^-(n+1) * u_{e_n} over the first `terms` edges; the bound
-    covers every infinite continuation of the truncated prefix.
-    """
-    _validate_path(graph, path)
-    ids = np.asarray(path.edges, dtype=np.int64)
-    if terms is not None:
-        ids = ids[:terms]
-    used = len(ids)
-    weights = graph.lam ** (-np.arange(1, used + 1, dtype=float))
-    point = weights @ graph.edge_u[ids] if used else np.zeros(graph.dim)
-    bound = graph.lam ** (-used) * graph.u_max / (graph.lam - 1.0)
-    return point, bound
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,12 @@ __all__ = [
     "MatrixConfig",
     "normal_form",
     "is_primitive",
-    "spectral_radius",
     "perron_vectors",
     "snap_rational_eigenpair",
     "alpha_exponent",
     "admissibility_report",
     "require_admissible",
     "matrix_report",
-    "LengthAsymptotics",
-    "length_asymptotics_check",
     "load_matrix_config",
 ]
 
@@ -185,12 +182,6 @@ def snap_rational_eigenpair(M: np.ndarray, xi: np.ndarray, lam: float):
         if sum(xi_fr[i] * int(M[i, j]) for i in range(n)) != lam_fr * xi_fr[j]:
             return None
     return tuple(xi_fr), lam_fr
-
-
-def spectral_radius(M: np.ndarray) -> float:
-    """max over diagonal blocks of the per-block Perron radius."""
-    ns = normal_form(np.asarray(M))
-    return max(ns.radii) if ns.radii else 0.0
 
 
 @dataclass
@@ -480,29 +471,3 @@ def matrix_report(cfg: MatrixConfig) -> AdmissibilityReport:
     return AdmissibilityReport(cfg.dim, shape_ok, rho_order_ok, None, None, None,
                                rho_A, rho_B, cfg.lam, alpha,
                                a_letters, b_letters, failures)
-
-
-# ---- length asymptotics ----
-
-@dataclass
-class LengthAsymptotics:
-    k_values: np.ndarray
-    ratios: np.ndarray            # shape (n_letters, len(k_values))
-    xi: np.ndarray
-    rho_A: float
-
-    @property
-    def final_deviation(self) -> float:
-        return float(np.abs(self.ratios[:, -1] - 1.0).max())
-
-
-def length_asymptotics_check(sub: Substitution, k_max: int = 12) -> LengthAsymptotics:
-    """Table of |sigma^k(i)| / (xi_i rho(A)^k) for k = 0..k_max (exact lengths)."""
-    if sub.dim != 1:
-        raise ValueError("length asymptotics are 1-d")
-    pd = perron_vectors(substitution_matrix(sub), side="left", normalization="min")
-    rows = supertile_lengths(sub, k_max)
-    ratios = np.array([[float(row[j]) / (pd.vec[j] * pd.rho ** k)
-                        for k, row in enumerate(rows)]
-                       for j in range(sub.n_letters)])
-    return LengthAsymptotics(np.arange(k_max + 1), ratios, pd.vec.copy(), pd.rho)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -18,14 +18,10 @@ import numpy as np
 __all__ = [
     "ConfigError",
     "LengthCapError",
-    "NotInLanguageError",
     "Substitution",
     "TwoSidedWord",
-    "AccordionForm",
     "parse_substitution",
     "load_substitution",
-    "word_from_str",
-    "word_to_str",
     "apply",
     "iterate",
     "power",
@@ -33,10 +29,7 @@ __all__ = [
     "population_vector",
     "substitution_matrix",
     "expand_grid",
-    "in_language",
-    "fixed_point_seeds",
     "orbit_generate",
-    "accordion_decompose",
 ]
 
 LENGTH_CAP = 10**8
@@ -48,10 +41,6 @@ class ConfigError(ValueError):
 
 class LengthCapError(RuntimeError):
     """Raised when an iterated word would exceed the length cap."""
-
-
-class NotInLanguageError(ValueError):
-    """Raised when a word admits no supertile witness within the depth bound."""
 
 
 # ---- substitution type and parsing ----
@@ -84,12 +73,6 @@ class Substitution:
     @property
     def rule_lengths(self) -> np.ndarray:
         return np.array([len(im) for im in self.images], dtype=np.int64)
-
-    @property
-    def max_rule_len(self) -> int:
-        if self.dim == 1:
-            return int(self.rule_lengths.max())
-        return self.q * self.q
 
 
 def _as_word(ids: Iterable[int]) -> np.ndarray:
@@ -192,24 +175,17 @@ def load_substitution(path: str) -> Substitution:
         return parse_substitution(f.read(), source=path)
 
 
-def word_from_str(sub: Substitution, s: str) -> np.ndarray:
-    return _as_word(sub.letter_id(ch) for ch in s)
-
-
-def word_to_str(sub: Substitution, w: np.ndarray) -> str:
-    return "".join(sub.letters[int(a)] for a in w)
-
-
 # ---- applying and iterating ----
 
 _tables_cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _image_table(sub: Substitution) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Rule images padded into one (n_letters, max_rule_len) uint8 table.
+    """Rule images padded into one uint8 table, one row per letter.
 
-    The mask marks the real letters of each row; it is None when every
-    image has the same length, so that rows need no trimming.
+    Rows are as wide as the longest image.  The mask marks the real
+    letters of each row; it is None when every image has the same
+    length, so that rows need no trimming.
     """
     got = _tables_cache.get(sub)
     if got is None:
@@ -227,14 +203,15 @@ def apply(sub: Substitution, w: np.ndarray) -> np.ndarray:
     """One substitution step on a word (dim 1).
 
     One gather from the padded image table.  Its working memory is one
-    intp index per letter of w plus len(w) * max_rule_len bytes; the
-    word builders check the exact length of the word they are about to
-    build, read from supertile_lengths, against the length cap.
+    intp index per letter of w plus len(w) bytes per letter of the
+    longest image; the word builders check the exact length of the word
+    they are about to build, read from supertile_lengths, against the
+    length cap.
     Row-major boolean selection keeps the letter order when images have
     unequal lengths.
     """
     if sub.dim != 1:
-        raise ValueError("apply works on 1-d words; use tiling.grid_patch for dim 2")
+        raise ValueError("apply works on 1-d words; use expand_grid for dim 2")
     if len(w) == 0:
         return _as_word([])
     tab, mask = _image_table(sub)
@@ -371,65 +348,7 @@ def substitution_matrix(sub: Substitution) -> np.ndarray:
     return M
 
 
-# ---- language membership ----
-
-def in_language(sub: Substitution, w: np.ndarray, max_depth: int = 8,
-                cap: int = LENGTH_CAP) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Breadth-first witness search: is w a subword of some sigma^n(a)?
-
-    Scans n = 1..max_depth, letters in alphabet order; returns
-    (True, (letter, depth)) for the first witness, else (False, None).
-    """
-    if sub.dim != 1:
-        raise ValueError("in_language works on 1-d words")
-    if len(w) == 0:
-        return True, None
-    try:
-        a, n, _ = _occurrence_witness(sub, w, max_depth, cap)
-    except NotInLanguageError:
-        return False, None
-    return True, (a, n)
-
-
-def _occurrence_witness(sub: Substitution, w: np.ndarray, max_depth: int,
-                        cap: int = LENGTH_CAP) -> tuple[int, int, int]:
-    """(letter, depth, leftmost offset) for the first BFS witness.
-
-    The search stops early when a level-(n+1) supertile would exceed ``cap``.
-    """
-    target = np.asarray(w, dtype=np.uint8).tobytes()
-    level = [sub.images[a] for a in range(sub.n_letters)]
-    for n in range(1, max_depth + 1):
-        for a in range(sub.n_letters):
-            p = level[a].tobytes().find(target)
-            if p >= 0:
-                return a, n, p
-        if n < max_depth:
-            if max(supertile_lengths(sub, n + 1)[n + 1]) > cap:
-                break
-            level = [apply(sub, v) for v in level]
-    raise NotInLanguageError(
-        f"no supertile witness within depth {max_depth} for a word of length {len(w)}")
-
-
-# ---- fixed points and orbits ----
-
-def fixed_point_seeds(sub: Substitution) -> list[tuple[int, int]]:
-    """Seeds (a, b): sigma(a) ends with a, sigma(b) starts with b, ab in the language."""
-    if sub.dim != 1:
-        raise ValueError("fixed_point_seeds works on 1-d substitutions")
-    out = []
-    for a in range(sub.n_letters):
-        if int(sub.images[a][-1]) != a:
-            continue
-        for b in range(sub.n_letters):
-            if int(sub.images[b][0]) != b:
-                continue
-            ok, _ = in_language(sub, _as_word([a, b]))
-            if ok:
-                out.append((a, b))
-    return out
-
+# ---- orbits ----
 
 @dataclass(frozen=True, eq=False)
 class TwoSidedWord:
@@ -462,99 +381,3 @@ def orbit_generate(sub: Substitution, seed: tuple[int, int], n: int) -> TwoSided
     """Two-sided orbit blocks (sigma^n(a), sigma^n(b)) for a seed (a, b)."""
     a, b = seed
     return TwoSidedWord(iterate(sub, a, n), iterate(sub, b, n))
-
-
-# ---- accordion decomposition ----
-
-@dataclass
-class AccordionForm:
-    """w = u_0 sigma(u_1) ... sigma^m(u_m) sigma^m(v_m) ... sigma(v_1) v_0."""
-    m: int
-    u: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    def pieces(self) -> list[np.ndarray]:
-        return list(self.u) + list(self.v)
-
-    def reconstruct(self, sub: Substitution) -> np.ndarray:
-        parts = []
-        for i, piece in enumerate(self.u):
-            p = piece
-            for _ in range(i):
-                p = apply(sub, p)
-            parts.append(p)
-        for i in range(len(self.v) - 1, -1, -1):
-            p = self.v[i]
-            for _ in range(i):
-                p = apply(sub, p)
-            parts.append(p)
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return _as_word([])
-        return np.concatenate(parts)
-
-
-def _occurs_in_some_image(sub: Substitution, w: np.ndarray) -> bool:
-    t = np.asarray(w, dtype=np.uint8).tobytes()
-    return any(im.tobytes().find(t) >= 0 for im in sub.images)
-
-
-def accordion_decompose(sub: Substitution, w: np.ndarray) -> AccordionForm:
-    """Canonical accordion decomposition of a language word.
-
-    w is located inside sigma^depth(letter) by the first breadth-first
-    witness, depth <= 24.  The peel maximizes the number of substitution
-    levels, so a window equal to sigma^k(a) collapses to a single deep
-    piece.
-    """
-    if sub.dim != 1:
-        raise ValueError("accordion_decompose works on 1-d words")
-    w = np.asarray(w, dtype=np.uint8)
-    if len(w) == 0:
-        return AccordionForm(0, [_as_word([])], [_as_word([])])
-    a, k, p = _occurrence_witness(sub, w, 24)
-    # the witness search built sigma^k under the length cap
-    levels = [_as_word([a])]
-    for _ in range(k):
-        levels.append(apply(sub, levels[-1]))
-
-    rl = sub.rule_lengths
-    u: list[np.ndarray] = []
-    v: list[np.ndarray] = []
-    lo, hi = p, p + len(w)
-    i = 0
-    while True:
-        W = levels[k - i]          # current window lives in this word
-        if i == k:
-            # apex: window is the single seed letter
-            u.append(W[lo:hi])
-            v.append(_as_word([]))
-            break
-        P = levels[k - i - 1]
-        bounds = np.concatenate([[0], np.cumsum(rl[P])])
-        j0 = int(np.searchsorted(bounds, lo, side="right")) - 1
-        j1 = int(np.searchsorted(bounds, hi - 1, side="right")) - 1
-        if j0 == j1:
-            aligned = lo == bounds[j0] and hi == bounds[j0 + 1]
-            if aligned and not (i + 1 == k and not _occurs_in_some_image(sub, levels[0])):
-                u.append(_as_word([]))
-                v.append(_as_word([]))
-                lo, hi = j0, j0 + 1
-                i += 1
-                continue
-            u.append(W[lo:hi])
-            v.append(_as_word([]))
-            break
-        head_partial = lo > bounds[j0]
-        tail_partial = hi < bounds[j1 + 1]
-        ui = W[lo:bounds[j0 + 1]] if head_partial else _as_word([])
-        vi = W[bounds[j1]:hi] if tail_partial else _as_word([])
-        u.append(ui)
-        v.append(vi)
-        jstart = j0 + 1 if head_partial else j0
-        jend = j1 - 1 if tail_partial else j1
-        if jstart > jend:
-            break
-        lo, hi = jstart, jend + 1
-        i += 1
-    return AccordionForm(len(u) - 1, u, v)

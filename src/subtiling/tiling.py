@@ -7,8 +7,8 @@ by ``suspension_lengths``: ``gdifs`` and ``ergodic`` read its result), a
 two-sided symbolic sequence lays those prototiles end to end with the
 index-0 tile centered at the origin, and inflation by the Perron radius
 maps the tiling of ``x`` onto the tiling of ``sigma(x)``.  A
-two-dimensional grid substitution instead grows square patches of unit
-cells by repeated q x q subdivision of a seed block around the origin.
+two-dimensional grid substitution instead gives patches of unit cells
+around the origin, cut out of its q x q subdivided supertiles.
 
 Counting routines report the number (or any per-letter weighting) of
 B-tiles completely contained in ``[0, t]`` respectively in the closed
@@ -26,33 +26,19 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .spectral import perron_vectors, require_admissible, snap_rational_eigenpair
-from .substitution import (
-    LENGTH_CAP,
-    LengthCapError,
-    Substitution,
-    TwoSidedWord,
-    expand_grid,
-    substitution_matrix,
-)
+from .substitution import Substitution, TwoSidedWord, substitution_matrix
 
 __all__ = [
     "CoverageError",
     "LengthVector",
     "suspension_lengths",
-    "tiling_length",
     "Tiling1DWindow",
     "window_from_sequence",
-    "prefix_radius",
-    "count_B_tiles_1d",
     "GrowthScan",
     "btile_growth_scan",
     "lemma_length_ratio",
     "GridPatch",
-    "default_seed",
-    "grid_patch",
-    "count_B_tiles_ball_2d",
     "ball_weight_scan",
-    "patch_text",
 ]
 
 
@@ -75,9 +61,6 @@ class LengthVector:
         if xi.ndim != 1 or xi.size == 0 or not (xi > 0).all():
             raise ValueError("tile lengths must form a strictly positive vector")
         object.__setattr__(self, "xi_len", xi)
-
-    def __len__(self) -> int:
-        return len(self.xi_len)
 
     def __getitem__(self, a: int) -> float:
         return float(self.xi_len[a])
@@ -117,19 +100,6 @@ def suspension_lengths(sub: Substitution) -> LengthVector:
     return LengthVector(xi, rho, exact)
 
 
-def tiling_length(w: Union[np.ndarray, Sequence[int]],
-                  xi: Union[LengthVector, np.ndarray]) -> float:
-    """<ell(w), xi>: total length of the tile run spelled by w."""
-    xi_arr = _as_lengths(xi)
-    w = np.asarray(w, dtype=np.int64)
-    if w.size == 0:
-        return 0.0
-    if w.min() < 0 or w.max() >= len(xi_arr):
-        raise ValueError("letter id outside the length vector")
-    counts = np.bincount(w, minlength=len(xi_arr))
-    return float(counts @ xi_arr)
-
-
 # ---- 1-d windows ----
 
 @dataclass(frozen=True, eq=False)
@@ -159,22 +129,6 @@ class Tiling1DWindow:
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "boundaries", bounds)
 
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.letters) - 1
-
-    def letter(self, i: int) -> int:
-        p = i - self.lo
-        if not 0 <= p < len(self.letters):
-            raise IndexError(f"tile {i} outside window [{self.lo}, {self.hi}]")
-        return int(self.letters[p])
-
-    def tile_support(self, i: int) -> tuple[float, float]:
-        p = i - self.lo
-        if not 0 <= p < len(self.letters):
-            raise IndexError(f"tile {i} outside window [{self.lo}, {self.hi}]")
-        return float(self.boundaries[p]), float(self.boundaries[p + 1])
-
 
 def window_from_sequence(x: TwoSidedWord, xi: Union[LengthVector, np.ndarray],
                          lo: Optional[int] = None,
@@ -201,15 +155,6 @@ def window_from_sequence(x: TwoSidedWord, xi: Union[LengthVector, np.ndarray],
     return Tiling1DWindow(letters, lo, bounds)
 
 
-def prefix_radius(x: TwoSidedWord, xi: Union[LengthVector, np.ndarray], k: int) -> float:
-    """R_k = |x[1, k]|_T + xi_{x(0)}/2, the right edge of tile k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    xi_arr = _as_lengths(xi)
-    w = x.slice(0, k + 1)
-    return float(xi_arr[w[1:]].sum() + xi_arr[w[0]] / 2.0)
-
-
 def _counts_up_to(win: Tiling1DWindow, t: np.ndarray,
                   b_letters: Iterable[int]) -> np.ndarray:
     """B-labeled tiles with support inside [0, t], for every scale in t."""
@@ -224,16 +169,6 @@ def _counts_up_to(win: Tiling1DWindow, t: np.ndarray,
     upper = np.minimum(idx, n)
     lower = p0 + 1
     return np.where(upper > lower, pref[np.maximum(upper, lower)] - pref[lower], 0)
-
-
-def count_B_tiles_1d(win: Tiling1DWindow, t: float, b_letters: Iterable[int]) -> int:
-    """Number of B-labeled tiles whose closed support lies in [0, t]."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if win.boundaries[-1] < t:
-        raise CoverageError(
-            f"window covers [0, {win.boundaries[-1]:g}] but t={t:g} was requested")
-    return int(_counts_up_to(win, np.asarray([t], dtype=np.float64), b_letters)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,63 +274,6 @@ class GridPatch:
         return float(min(-self.x_lo, self.x_lo + self.width,
                          self.y_top, self.height - self.y_top))
 
-    @property
-    def origin_cell(self) -> tuple[int, int]:
-        """Cell whose center is nearest the origin; ties pick the smaller index."""
-        i = min(max(self.y_top - 1, 0), self.height - 1)
-        j = min(max(-self.x_lo - 1, 0), self.width - 1)
-        return i, j
-
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return self.x_lo + j + 0.5, self.y_top - i - 0.5
-
-
-def default_seed(sub: Substitution, letter: Union[int, str, None] = None) -> GridPatch:
-    """2 x 2 block of the B letter centered at the origin."""
-    if sub.dim != 2:
-        raise ValueError("grid patches need a 2-d substitution")
-    if letter is None:
-        rep = require_admissible(sub)
-        if len(rep.b_letters) != 1:
-            raise ValueError("several B letters; pass the seed letter explicitly")
-        letter = rep.b_letters[0]
-    elif isinstance(letter, str):
-        letter = sub.letter_id(letter)
-    if not 0 <= int(letter) < sub.n_letters:
-        raise ValueError(f"letter id {letter} outside the alphabet")
-    labels = np.full((2, 2), int(letter), dtype=np.uint8)
-    return GridPatch(labels, x_lo=-1, y_top=1, level=0, q=sub.q)
-
-
-def grid_patch(sub: Substitution, seed: GridPatch, n: int,
-               side_cap: int = math.isqrt(LENGTH_CAP)) -> GridPatch:
-    """n-fold grid inflation of a seed patch.
-
-    Each step replaces every cell by its q x q rule image and multiplies
-    the patch offsets by q, so the patch keeps covering a q-times larger
-    neighborhood of the origin.  Sides are capped at ``side_cap`` cells,
-    by default the side of a square of LENGTH_CAP cells; the cap is
-    checked before any expansion.
-    """
-    if sub.dim != 2:
-        raise ValueError("grid patches need a 2-d substitution")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if seed.labels.max() >= sub.n_letters:
-        raise ValueError("seed labels outside the alphabet")
-    q = sub.q
-    side = max(seed.height, seed.width) * q ** n
-    if side > side_cap:
-        raise LengthCapError(
-            f"patch side {side} exceeds the cap {side_cap} at level {seed.level + n}")
-    labels = seed.labels
-    for _ in range(n):
-        labels = expand_grid(sub, labels)
-    scale = q ** n
-    # fresh from expand_grid, or the seed's own read-only labels when n is 0
-    return GridPatch(_OwnedLabels(labels), seed.x_lo * scale, seed.y_top * scale,
-                     seed.level + n, q)
-
 
 def _coverage_gate(patch: GridPatch, R: float) -> None:
     covered = patch.covered_radius
@@ -497,18 +375,6 @@ def _ball_letter_counts(patch: GridPatch, radii: np.ndarray,
     return counts
 
 
-def count_B_tiles_ball_2d(patch: GridPatch, R: float,
-                          b_letters: Iterable[int]) -> int:
-    """Number of B cells whose closed unit square lies in the closed ball B_R."""
-    if R < 0:
-        raise ValueError("R must be nonnegative")
-    _coverage_gate(patch, R)
-    b = sorted({int(x) for x in b_letters})
-    if not b:
-        raise ValueError("b_letters must be nonempty")
-    return int(_ball_letter_counts(patch, np.array([float(R)]), b).sum())
-
-
 def ball_weight_scan(patch: GridPatch, radii: Union[np.ndarray, Sequence[float]],
                      weights: Union[np.ndarray, Sequence[float]]) -> np.ndarray:
     """Sum of per-letter weights over cells inside B_R, for each R in radii.
@@ -530,22 +396,3 @@ def ball_weight_scan(patch: GridPatch, radii: Union[np.ndarray, Sequence[float]]
     for w, n_a in zip(weights[letters], _ball_letter_counts(patch, radii, letters)):
         out += w * n_a
     return out
-
-
-_GLYPHS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def patch_text(patch: GridPatch) -> str:
-    """Plain-text rendering, one glyph per cell, top row first.
-
-    The header line records the patch geometry so a dump can be read
-    back unambiguously.
-    """
-    if int(patch.labels.max()) >= len(_GLYPHS):
-        raise ValueError("patch_text supports at most 36 letters")
-    lut = np.frombuffer(_GLYPHS.encode(), dtype=np.uint8)
-    rows = lut[patch.labels]
-    body = "\n".join(r.tobytes().decode() for r in rows)
-    head = (f"{patch.width} {patch.height} level={patch.level} "
-            f"x_lo={patch.x_lo} y_top={patch.y_top}")
-    return head + "\n" + body + "\n"

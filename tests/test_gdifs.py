@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import multiprocessing
@@ -14,10 +13,10 @@ from subtiling import (BracketPrecisionError, MassVector, MarkovSampler,
                        average_density_birkhoff, average_density_pointwise,
                        ball_measure_bracket, build_graph, cylinder_measure,
                        fixture_path, load_substitution, mass_vector,
-                       natural_projection, suspension_lengths, transverse_weights)
+                       suspension_lengths, transverse_weights)
 from subtiling import gdifs
 from subtiling.gdifs import (_default_depth, _measures_multiradius, _norm_factor,
-                             _split, dimension)
+                             _split)
 from subtiling.spectral import perron_vectors, snap_rational_eigenpair
 from subtiling.substitution import parse_substitution, substitution_matrix
 
@@ -32,6 +31,10 @@ TWO_VERTEX = {"alphabet": ["0", "1", "2"], "dim": 1,
 # vertices differ in half-extent too.
 TWO_LENGTHS = {"alphabet": ["0", "1", "2"], "dim": 1,
                "rules": {"0": "000", "1": "1002", "2": "21"}}
+# Two contracting letters of lengths 7/2 and 5 next to a unit expanding
+# tile: unequal lengths whose child centres are still exact floats.
+THREE_LENGTHS = {"alphabet": ["a", "x", "y"], "dim": 1,
+                 "rules": {"a": "aaa", "x": "xaay", "y": "yxaaax"}}
 
 
 @pytest.fixture(scope="module")
@@ -345,6 +348,8 @@ def test_graph_keeps_the_suspension_lengths(subs):
     thirds = build_graph(_rule_1d(THIRDS))
     assert thirds.lengths.exact[0] == (1, 2, Fraction(7, 3))
     assert not thirds.exact_geometry
+    three = build_graph(_rule_1d(THREE_LENGTHS["rules"]))
+    assert three.lengths.exact[0] == (1, Fraction(7, 2), 5) and three.exact_geometry
     assert build_graph(subs["carpet"]).lengths is None
 
 
@@ -355,37 +360,10 @@ def test_graph_edge_multiplicity(cantor1001_ws):
 
 
 def test_dimension_matches_alpha(cantor_ws, carpet_ws, cantor, carpet):
-    assert dimension(cantor_ws.graph) == pytest.approx(alpha_exponent(cantor), abs=1e-12)
-    assert dimension(carpet_ws.graph) == pytest.approx(alpha_exponent(carpet), abs=1e-12)
+    assert cantor_ws.graph.alpha == alpha_exponent(cantor)
+    assert carpet_ws.graph.alpha == alpha_exponent(carpet)
     for ws in (cantor_ws, carpet_ws):
         assert ws.graph.lam ** ws.graph.alpha == pytest.approx(ws.graph.rho_B, rel=1e-12)
-
-
-# ---- natural projection ----
-
-def _const_path(graph, u_target, length=40):
-    match = np.all(graph.edge_u == np.atleast_1d(u_target), axis=1)
-    eid = int(np.where(match)[0][0])
-    return PathPrefix(0, np.full(length, eid, dtype=np.int64))
-
-
-def test_projection_fixed_points(cantor_ws, carpet_ws):
-    pt, bound = natural_projection(cantor_ws.graph, _const_path(cantor_ws.graph, -1.0))
-    assert pt[0] == pytest.approx(-0.5, abs=1e-12) and bound < 1e-18
-    pt, _ = natural_projection(cantor_ws.graph, _const_path(cantor_ws.graph, 1.0))
-    assert pt[0] == pytest.approx(0.5, abs=1e-12)
-    pt, _ = natural_projection(carpet_ws.graph, _const_path(carpet_ws.graph, (1.0, 1.0)))
-    assert np.allclose(pt, [0.5, 0.5], atol=1e-12)
-
-
-def test_projection_truncation_bound(cantor_ws):
-    g = cantor_ws.graph
-    path = _const_path(g, -1.0, length=60)
-    full, _ = natural_projection(g, path)
-    for terms in (1, 3, 10):
-        part, bound = natural_projection(g, path, terms=terms)
-        assert abs(full[0] - part[0]) <= bound
-        assert bound == pytest.approx(3.0 ** -terms * g.u_max / 2.0, rel=1e-12)
 
 
 # ---- cylinder measures ----
@@ -853,6 +831,7 @@ def test_multiradius_matches_per_radius_brackets(name, side, depth, request):
 KERNEL_CASES = ([(name, side) for name in ADMISSIBLE_1D for side in ("right", "two")]
                 + [("carpet", "two"), ("two_vertex", "right"), ("two_vertex", "two"),
                    ("two_lengths", "right"), ("two_lengths", "two"),
+                   ("three_lengths", "right"), ("three_lengths", "two"),
                    ("plane_two_vertex", "two")])
 
 
@@ -860,6 +839,7 @@ KERNEL_CASES = ([(name, side) for name in ADMISSIBLE_1D for side in ("right", "t
 def worksets(subs, carpet_ws, two_vertex_ws):
     cache = {"carpet": carpet_ws, "two_vertex": two_vertex_ws,
              "two_lengths": Workset(parse_substitution(json.dumps(TWO_LENGTHS))),
+             "three_lengths": Workset(parse_substitution(json.dumps(THREE_LENGTHS))),
              "plane_two_vertex": Workset(load_substitution(fixture_path("plane_two_vertex")))}
 
     def get(name):

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subtiling import (MassVector, Observable, admissibility_report,
-                       alpha_exponent, build_graph, default_seed,
-                       distribution_experiment, fixture_path, is_primitive,
-                       length_asymptotics_check, load_matrix_config,
+                       alpha_exponent, build_graph, distribution_experiment,
+                       fixture_path, is_primitive, load_matrix_config,
                        matrix_report, measure_normalization, normal_form,
                        perron_vectors, require_admissible,
-                       snap_rational_eigenpair, spectral_radius,
-                       substitution_matrix, suspension_lengths,
-                       transverse_weights)
+                       snap_rational_eigenpair, substitution_matrix,
+                       suspension_lengths, transverse_weights)
 from subtiling.spectral import _PERRON_STEPS
 from subtiling.substitution import ConfigError, parse_substitution
 
@@ -222,7 +220,11 @@ def test_is_primitive_matches_brute_force():
         assert is_primitive(M) == _primitive_brute(M)
 
 
-# ---- spectral radius ----
+# ---- spectral radius: the largest radius of the normal form's classes ----
+
+def spectral_radius(M):
+    return max(normal_form(np.asarray(M)).radii)
+
 
 def test_spectral_radius_triangular(cantor):
     assert spectral_radius(substitution_matrix(cantor)) == pytest.approx(3.0, rel=1e-12)
@@ -392,21 +394,6 @@ def test_report_dict_round(cantor):
     assert d["tec2"] == {"ok": True, "witness_k": 2}
 
 
-# ---- length asymptotics ----
-
-def test_length_asymptotics_cantor(cantor):
-    table = length_asymptotics_check(cantor, k_max=12)
-    assert np.allclose(table.ratios[1], 1.0, atol=1e-12)
-
-
-def test_length_asymptotics_1001(cantor1001):
-    table = length_asymptotics_check(cantor1001, k_max=12)
-    exact = 1.0 - 0.5 * (2.0 / 3.0) ** 12
-    assert table.ratios[1, -1] == pytest.approx(exact, abs=1e-9)
-    assert table.final_deviation < 5e-3
-    assert table.ratios[0, 0] == pytest.approx(1.0)
-
-
 # ---- matrix-only configs ----
 
 def test_matrix_fixture_fractal73():
@@ -461,7 +448,7 @@ def test_one_admissibility_message(subs):
         (openq1, lambda: measure_normalization(openq1, None, dummy, MassVector(dummy))),
         (openq1, lambda: suspension_lengths(openq1)),
         (openq1, lambda: distribution_experiment(openq1, Observable(np.ones(3)), 1, 1)),
-        (_BORDER_A_2D, lambda: default_seed(_BORDER_A_2D)),
+        (_BORDER_A_2D, lambda: build_graph(_BORDER_A_2D)),
     ]
     for sub, call in calls:
         failures = admissibility_report(sub).failures

@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtiling import (ConfigError, LengthCapError, accordion_decompose,
-                       apply, expand_grid, fixed_point_seeds, fixture_path,
-                       in_language, iterate, load_substitution, orbit_generate,
+from subtiling import (ConfigError, LengthCapError, apply, expand_grid,
+                       fixture_path, iterate, load_substitution, orbit_generate,
                        population_vector, power, substitution_matrix,
-                       supertile_lengths, word_from_str, word_to_str)
+                       supertile_lengths)
 from subtiling.substitution import (LENGTH_CAP, _as_word, _length_by_squaring,
                                     _lengths_cache, parse_substitution)
 
-from conftest import admissible_substitutions_1d, admissible_substitutions_2d, rng
+from conftest import (admissible_substitutions_1d, admissible_substitutions_2d,
+                      in_language, rng, word_from_str, word_to_str)
 
 CANTOR_M = np.array([[3, 1], [0, 2]])
 
@@ -280,7 +280,8 @@ def test_matrix_power_homomorphism_on_generated_plane_rules(sub, k):
                           np.linalg.matrix_power(substitution_matrix(sub), k))
 
 
-# ---- language membership ----
+# ---- language membership: the oracle that iterate and the sampled
+# orbits are checked against ----
 
 def test_in_language_no_double_one(cantor):
     ok, witness = in_language(cantor, word_from_str(cantor, "11"), max_depth=8)
@@ -297,13 +298,6 @@ def test_in_language_000101(cantor):
     assert ok and witness == (1, 2)
 
 
-def test_in_language_cap_reads_exact_lengths(cantor1001):
-    # level-2 words hold at most 14 letters, below the 4 * 4 product bound
-    w = word_from_str(cantor1001, "0000")
-    assert in_language(cantor1001, w, cap=14) == (True, (0, 2))
-    assert in_language(cantor1001, w, cap=13) == (False, None)
-
-
 def test_in_language_monotone_and_subword_closed(cantor):
     w = word_from_str(cantor, "000101")
     ok2, _ = in_language(cantor, w, max_depth=2)
@@ -315,19 +309,7 @@ def test_in_language_monotone_and_subword_closed(cantor):
             assert ok
 
 
-# ---- seeds and orbits ----
-
-def test_fixed_point_seeds_cantor(cantor):
-    seeds = fixed_point_seeds(cantor)
-    assert (0, 1) in seeds
-    assert (1, 1) not in seeds
-
-
-def test_fixed_point_seeds_1001(cantor1001):
-    seeds = fixed_point_seeds(cantor1001)
-    for pair in [(0, 1), (1, 0), (0, 0)]:
-        assert pair in seeds
-
+# ---- orbits ----
 
 def test_orbit_right_block(cantor):
     x = orbit_generate(cantor, (0, 1), 2)
@@ -350,34 +332,3 @@ def test_two_sided_slice(cantor):
     assert word_to_str(cantor, x.slice(-2, 3)) == "00101"
     with pytest.raises(ValueError):
         x.slice(1, 4)
-
-
-# ---- accordion decomposition ----
-
-def test_accordion_supertile(cantor):
-    w = iterate(cantor, 1, 2)
-    form = accordion_decompose(cantor, w)
-    assert form.m == 2
-    assert word_to_str(cantor, form.u[2]) == "1"
-    assert all(len(p) == 0 for p in form.u[:2] + form.v)
-    assert np.array_equal(form.reconstruct(cantor), w)
-
-
-def test_accordion_tiny_window(cantor):
-    w = word_from_str(cantor, "01")
-    form = accordion_decompose(cantor, w)
-    assert form.m <= 1
-    assert np.array_equal(form.reconstruct(cantor), w)
-
-
-def test_accordion_random_windows(cantor):
-    big = iterate(cantor, 1, 12)
-    g = rng(7)
-    for _ in range(1000):
-        n = int(g.integers(1, 400))
-        i = int(g.integers(0, len(big) - n))
-        w = big[i:i + n]
-        form = accordion_decompose(cantor, w)
-        assert np.array_equal(form.reconstruct(cantor), w)
-        cap = cantor.max_rule_len
-        assert all(len(p) <= cap for p in form.pieces())

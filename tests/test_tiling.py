@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subtiling import (CoverageError, GridPatch, LengthCapError, LengthVector,
-                       Tiling1DWindow, TransversalSampler, TwoSidedWord,
-                       alpha_exponent, apply, ball_weight_scan,
-                       btile_growth_scan, count_B_tiles_1d,
-                       count_B_tiles_ball_2d, default_seed, grid_patch,
-                       lemma_length_ratio, orbit_generate, patch_text,
-                       prefix_radius, suspension_lengths, tiling_length,
-                       window_from_sequence)
+from subtiling import (CoverageError, GridPatch, LengthVector, Tiling1DWindow,
+                       TransversalSampler, TwoSidedWord, alpha_exponent, apply,
+                       ball_weight_scan, btile_growth_scan, lemma_length_ratio,
+                       orbit_generate, suspension_lengths, window_from_sequence)
 from subtiling import tiling
 from subtiling.substitution import parse_substitution
+from subtiling.tiling import _counts_up_to
 
-from conftest import admissible_substitutions_2d, rng
+from conftest import (admissible_substitutions_2d, default_seed, grid_patch,
+                      prefix_radius, rng, tiling_length)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +79,6 @@ def test_tiling_length_inflation_identity(subs):
 def test_length_vector_validation():
     with pytest.raises(ValueError):
         LengthVector(np.array([1.0, 0.0]), 3.0)
-    with pytest.raises(ValueError):
-        tiling_length([0, 2], np.array([1.0, 1.0]))
 
 
 # ---- 1-d windows ----
@@ -90,18 +86,20 @@ def test_length_vector_validation():
 def test_window_central_tile(cantor, cantor1001):
     x = orbit_generate(cantor, (0, 1), 3)
     win = window_from_sequence(x, suspension_lengths(cantor))
-    assert win.tile_support(0) == (-0.5, 0.5) and win.letter(0) == 1
+    p0 = -win.lo
+    assert win.boundaries[p0:p0 + 2].tolist() == [-0.5, 0.5] and win.letters[p0] == 1
     x2 = orbit_generate(cantor1001, (0, 1), 3)
     win2 = window_from_sequence(x2, suspension_lengths(cantor1001))
-    assert win2.tile_support(0) == (-1.0, 1.0)
-    assert win2.tile_support(1) == (1.0, 2.0) and win2.letter(1) == 0
+    p0 = -win2.lo
+    assert win2.boundaries[p0:p0 + 3].tolist() == [-1.0, 1.0, 2.0]
+    assert win2.letters[p0 + 1] == 0
 
 
 def test_window_boundaries_monotone(cantor_window):
     x, xi = cantor_window
     win = window_from_sequence(x, xi, lo=-100, hi=10_000)
     assert (np.diff(win.boundaries) > 0).all()
-    assert win.lo == -100 and win.hi == 10_000
+    assert win.lo == -100 and len(win.letters) == 10_101
     assert win.boundaries[0] == pytest.approx(-100.5)
 
 
@@ -110,7 +108,7 @@ def test_window_matches_prefix_radius(cantor1001):
     xi = suspension_lengths(cantor1001)
     win = window_from_sequence(x, xi, lo=0, hi=2000)
     for k in rng(3).integers(0, 2000, size=50):
-        assert win.tile_support(int(k))[1] == pytest.approx(
+        assert win.boundaries[int(k) + 1] == pytest.approx(
             prefix_radius(x, xi, int(k)), rel=1e-12)
 
 
@@ -142,37 +140,35 @@ def test_window_validation():
 def test_count_decades(cantor_window):
     x, xi = cantor_window
     win = window_from_sequence(x, xi)
-    for n in range(1, 9):
-        assert count_B_tiles_1d(win, 3.0 ** n, [1]) == 2 ** n - 1
+    t = 3.0 ** np.arange(1, 9)
+    assert btile_growth_scan(win, 1.0, t, [1]).counts.tolist() == \
+        [2 ** n - 1 for n in range(1, 9)]
 
 
 def test_count_small_t(cantor_window):
     x, xi = cantor_window
     win = window_from_sequence(x, xi, lo=-2, hi=30)
-    assert count_B_tiles_1d(win, 0.0, [1]) == 0
-    assert count_B_tiles_1d(win, 1.4, [1]) == 0
-    assert count_B_tiles_1d(win, 2.5, [1]) == 1
+    assert _counts_up_to(win, np.array([0.0]), [1]).tolist() == [0]
+    assert btile_growth_scan(win, 1.0, [1.4, 2.5], [1]).counts.tolist() == [0, 1]
 
 
 def test_count_brute_force(cantor1001):
     x = orbit_generate(cantor1001, (0, 1), 6)
     xi = suspension_lengths(cantor1001)
     win = window_from_sequence(x, xi, lo=-20, hi=500)
-    g = rng(7)
-    for _ in range(100):
-        t = float(g.uniform(0.0, win.boundaries[-1]))
-        want = 0
-        for i in range(win.lo, win.hi + 1):
-            a, b = win.tile_support(i)
-            want += int(win.letter(i) == 1 and a >= 0.0 and b <= t)
-        assert count_B_tiles_1d(win, t, [1]) == want
+    b = win.boundaries
+    t = np.unique(rng(7).uniform(0.0, b[-1], size=100))
+    want = [sum(int(letter == 1 and b[p] >= 0.0 and b[p + 1] <= ti)
+                for p, letter in enumerate(win.letters))
+            for ti in t]
+    assert btile_growth_scan(win, 1.0, t, [1]).counts.tolist() == want
 
 
 def test_count_monotone_in_t(cantor_window):
     x, xi = cantor_window
     win = window_from_sequence(x, xi)
-    ts = np.sort(rng(13).uniform(0.0, 6000.0, size=60))
-    counts = [count_B_tiles_1d(win, float(t), [1]) for t in ts]
+    ts = np.unique(rng(13).uniform(0.0, 6000.0, size=60))
+    counts = btile_growth_scan(win, 1.0, ts, [1]).counts
     assert (np.diff(counts) >= 0).all()
 
 
@@ -180,16 +176,16 @@ def test_count_coverage_error(cantor_window):
     x, xi = cantor_window
     win = window_from_sequence(x, xi)
     with pytest.raises(CoverageError, match="window covers"):
-        count_B_tiles_1d(win, float(win.boundaries[-1]) + 1.0, [1])
+        btile_growth_scan(win, 1.0, [float(win.boundaries[-1]) + 1.0], [1])
 
 
 def test_count_rejects_bad_args(cantor_window):
     x, xi = cantor_window
     win = window_from_sequence(x, xi, lo=-5, hi=5)
     with pytest.raises(ValueError):
-        count_B_tiles_1d(win, -1.0, [1])
+        btile_growth_scan(win, 1.0, [-1.0], [1])
     with pytest.raises(ValueError):
-        count_B_tiles_1d(win, 1.0, [])
+        btile_growth_scan(win, 1.0, [1.0], [])
 
 
 # ---- growth scans ----
@@ -270,15 +266,6 @@ def test_default_seed(carpet):
     assert seed.labels.tolist() == [[1, 1], [1, 1]]
     assert (seed.x_lo, seed.y_top, seed.level, seed.q) == (-1, 1, 0, 3)
     assert seed.covered_radius == 1.0
-    assert seed.origin_cell == (0, 0)
-    assert seed.cell_center(0, 0) == (-0.5, 0.5)
-
-
-def test_default_seed_rejects(cantor, carpet):
-    with pytest.raises(ValueError, match="2-d"):
-        default_seed(cantor)
-    with pytest.raises(ValueError, match="alphabet"):
-        default_seed(carpet, 7)
 
 
 def test_grid_patch_one_step(carpet):
@@ -303,20 +290,6 @@ def test_grid_patch_composes(carpet):
     assert (twice.x_lo, twice.y_top, twice.level) == (once.x_lo, once.y_top, once.level)
 
 
-def test_grid_patch_side_cap(carpet):
-    with pytest.raises(LengthCapError, match="level 3"):
-        grid_patch(carpet, default_seed(carpet), 3, side_cap=50)
-
-
-def test_grid_patch_default_cap_is_the_length_cap(carpet, monkeypatch):
-    # level 8 is 2 * 3^8 = 13,122 cells a side, past isqrt(LENGTH_CAP) = 10,000
-    def expand(*args):
-        raise AssertionError("grid_patch expanded a patch past its cap")
-    monkeypatch.setattr(tiling, "expand_grid", expand)
-    with pytest.raises(LengthCapError, match="patch side 13122 exceeds the cap 10000"):
-        grid_patch(carpet, default_seed(carpet), 8)
-
-
 def test_grid_patch_zero_steps(carpet):
     seed = default_seed(carpet)
     p = grid_patch(carpet, seed, 0)
@@ -325,40 +298,40 @@ def test_grid_patch_zero_steps(carpet):
 
 # ---- B-tile counting in balls ----
 
+B_WEIGHTS = np.array([0.0, 1.0])  # the indicator of the carpet's B letter
+
+
 def test_ball_count_corner_radii(carpet):
     p = grid_patch(carpet, default_seed(carpet), 2)
-    assert count_B_tiles_ball_2d(p, 0.49, [1]) == 0
-    assert count_B_tiles_ball_2d(p, 1.41, [1]) == 0
-    assert count_B_tiles_ball_2d(p, math.sqrt(2.0), [1]) == 4
+    radii = [0.49, 1.41, math.sqrt(2.0)]
+    assert ball_weight_scan(p, radii, B_WEIGHTS).tolist() == [0.0, 0.0, 4.0]
 
 
 def test_ball_count_solid_patch():
     m = 40
     p = GridPatch(np.ones((2 * m, 2 * m), dtype=np.uint8), x_lo=-m, y_top=m)
-    for R in (5.0, 12.0, 30.0):
-        n = count_B_tiles_ball_2d(p, R, [1])
-        assert math.pi * (R - 2.0) ** 2 <= n <= math.pi * R ** 2
+    radii = np.array([5.0, 12.0, 30.0])
+    n = ball_weight_scan(p, radii, B_WEIGHTS)
+    assert (math.pi * (radii - 2.0) ** 2 <= n).all() and (n <= math.pi * radii ** 2).all()
 
 
 def test_ball_count_growth_rate(carpet):
     p = grid_patch(carpet, default_seed(carpet), 6)
-    for R in (27.0, 81.0, 243.0):
-        ratio = count_B_tiles_ball_2d(p, 3 * R, [1]) / count_B_tiles_ball_2d(p, R, [1])
-        assert abs(ratio - 8.0) <= 0.8
+    n = ball_weight_scan(p, [27.0, 81.0, 243.0, 729.0], B_WEIGHTS)
+    assert (abs(n[1:] / n[:-1] - 8.0) <= 0.8).all()
 
 
 def test_ball_count_coverage_error(carpet):
     p = grid_patch(carpet, default_seed(carpet), 2)
     with pytest.raises(CoverageError, match="inflate to level 4"):
-        count_B_tiles_ball_2d(p, 30.0, [1])
+        ball_weight_scan(p, [30.0], B_WEIGHTS)
 
 
 def test_ball_weight_scan_matches_counts(carpet):
     p = grid_patch(carpet, default_seed(carpet), 2)
     radii = np.sort(rng(5).uniform(0.0, 9.0, size=50))
-    scanned = ball_weight_scan(p, radii, np.array([0.0, 1.0]))
-    direct = np.array([count_B_tiles_ball_2d(p, float(r), [1]) for r in radii])
-    assert np.array_equal(scanned, direct.astype(float))
+    scanned = ball_weight_scan(p, radii, B_WEIGHTS)
+    assert np.array_equal(scanned, _cell_counts(p, radii, 2)[1].astype(float))
 
 
 def test_ball_weight_scan_general_weights(carpet):
@@ -456,8 +429,8 @@ def test_ball_weight_scan_matches_cell_oracle():
         exact = w @ n_ar
         assert np.allclose(scanned, exact, rtol=1e-12, atol=0.0)
         assert np.allclose(scanned, _sort_scan(p, radii, w), rtol=1e-12, atol=0.0)
-        for k in (0, len(radii) // 2, len(radii) - 1):
-            assert count_B_tiles_ball_2d(p, radii[k], [1, 2]) == n_ar[1:, k].sum()
+        assert np.array_equal(ball_weight_scan(p, radii, np.array([0.0, 1.0, 1.0])),
+                              n_ar[1:].sum(axis=0).astype(float))
 
 
 @settings(max_examples=25, deadline=None)
@@ -570,17 +543,7 @@ def test_grid_patch_copies_caller_labels():
         p.labels[0, 0] = 1
 
 
-def test_library_patches_are_read_only(carpet, carpet_ws):
-    built = grid_patch(carpet, default_seed(carpet), 2)
+def test_library_patches_are_read_only(carpet_ws):
     sampled = TransversalSampler(carpet_ws.sub, carpet_ws.graph, carpet_ws.mass,
                                  5).patch(3, 4.0)
-    for patch in (built, sampled):
-        assert patch.labels.dtype == np.uint8 and not patch.labels.flags.writeable
-
-
-def test_patch_text(carpet):
-    txt = patch_text(grid_patch(carpet, default_seed(carpet), 1))
-    lines = txt.splitlines()
-    assert lines[0] == "6 6 level=1 x_lo=-3 y_top=3"
-    assert lines[1] == "111111" and lines[2] == "101101"
-    assert len(lines) == 7
+    assert sampled.labels.dtype == np.uint8 and not sampled.labels.flags.writeable
